@@ -1,14 +1,13 @@
 // Microkernel benchmark: times every kernel backend this machine can run
-// (scalar, SSE, AVX2) on the packed fp32 GEMM, the int8 GEMM, softmax, and
-// the elementwise ops, and writes <out>/BENCH_kernels.json.
+// (scalar, SSE, AVX2) on the packed fp32 GEMM, the int8 GEMM, and the
+// elementwise ops, and writes <out>/BENCH_kernels.json.
 //
 // Reported units: GFLOP/s and flops/cycle (rdtsc) for the GEMMs, GB/s for
 // the bandwidth-bound elementwise ops. `speedup_vs_scalar` compares each
 // backend against the scalar reference on the same workload — the
 // acceptance bar for this layer is >= 2x on the packed fp32 GEMM with AVX2.
-// The exactness contract (bitwise-equal results across backends for
-// everything but the polynomial transcendentals) is enforced by
-// tests/kernels_test.cpp, so this bench only reports time.
+// The exactness contract (bitwise-equal results across backends) is
+// enforced by tests/kernels_test.cpp, so this bench only reports time.
 //
 // One workload ("matmul_via_ops") goes through nn::MatMul on the *active*
 // backend instead of calling the kernel table directly, so the emitted
@@ -117,7 +116,6 @@ int main(int argc, char** argv) {
   // arrays are sized past L2 so the numbers are honest stream bandwidth.
   const int m = 256, k = 300, n = 256;
   const int64_t elems = options.quick ? (1 << 20) : (1 << 22);
-  const int soft_rows = options.quick ? 512 : 2048, soft_cols = 256;
   const int repeats = options.quick ? 11 : 31;
   const double gemm_flops = 2.0 * m * k * n;
 
@@ -148,11 +146,6 @@ int main(int argc, char** argv) {
     x[i] = rng.Normal() * 2.0f;
   }
   std::vector<int8_t> q8(elems);
-  std::vector<float> soft(static_cast<size_t>(soft_rows) * soft_cols);
-  for (float& v : soft) {
-    v = rng.Normal() * 4.0f;
-  }
-  std::vector<float> soft_out(soft.size());
 
   std::vector<Measurement> results;
   const std::string active = kernels::Active().name;
@@ -172,39 +165,9 @@ int main(int argc, char** argv) {
           backend.gemm_s8_block(aq.data(), 0, m, qb.k_padded, n,
                                 qb.packed.data(), ci.data());
         }));
-    // Softmax composed the way the quantized scorer runs it: row_max +
-    // polynomial exp + denominator + scale per row.
-    results.push_back(MeasureBytes(
-        "softmax_2048x256", name, 4.0 * 4 * soft.size(), repeats, [&] {
-          for (int r = 0; r < soft_rows; ++r) {
-            const float* row = soft.data() + static_cast<int64_t>(r) * soft_cols;
-            float* out = soft_out.data() + static_cast<int64_t>(r) * soft_cols;
-            const float mx = backend.row_max(row, soft_cols);
-            for (int j = 0; j < soft_cols; ++j) {
-              out[j] = row[j] - mx;
-            }
-            backend.exp_f32(out, out, soft_cols);
-            double denom = 0.0;
-            for (int j = 0; j < soft_cols; ++j) {
-              denom += out[j];
-            }
-            backend.scale(out, static_cast<float>(1.0 / denom), out,
-                          soft_cols);
-          }
-        }));
     results.push_back(MeasureBytes("relu_4m", name, 8.0 * elems, repeats, [&] {
       backend.relu(x.data(), y.data(), elems);
     }));
-    results.push_back(MeasureBytes("exp_4m", name, 8.0 * elems, repeats, [&] {
-      backend.exp_f32(x.data(), y.data(), elems);
-    }));
-    results.push_back(MeasureBytes("tanh_4m", name, 8.0 * elems, repeats, [&] {
-      backend.tanh_f32(x.data(), y.data(), elems);
-    }));
-    results.push_back(
-        MeasureBytes("sigmoid_4m", name, 8.0 * elems, repeats, [&] {
-          backend.sigmoid_f32(x.data(), y.data(), elems);
-        }));
     results.push_back(
         MeasureBytes("quantize_s8_4m", name, 5.0 * elems, repeats, [&] {
           backend.quantize_s8(x.data(), 1.0f / 4.0f, q8.data(), elems);

@@ -28,8 +28,8 @@ struct Job {
   const std::function<void(int64_t, int64_t)>* const fn;
   std::atomic<int64_t> next_chunk{0};
   std::atomic<bool> failed{false};
-  Mutex error_mutex;
-  std::exception_ptr error ADAMEL_GUARDED_BY(error_mutex);
+  Mutex error_mutex{};
+  std::exception_ptr error ADAMEL_GUARDED_BY(error_mutex){};
 };
 
 int HardwareThreads() {

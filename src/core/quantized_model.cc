@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -13,64 +12,6 @@
 
 namespace adamel::core {
 namespace {
-
-// Copies a column slice [col0, col0+width) of `src` (rows x src_cols) into
-// the dense `dst` (rows x width).
-void CopyCols(const float* src, int rows, int src_cols, int col0, int width,
-              float* dst) {
-  for (int r = 0; r < rows; ++r) {
-    const float* s = src + static_cast<size_t>(r) * src_cols + col0;
-    std::copy(s, s + width, dst + static_cast<size_t>(r) * width);
-  }
-}
-
-// Dense fp32 GEMM + bias for the calibration pass: C = A * W + bias.
-// Accuracy-only code (max-abs statistics), so it simply reuses the packed
-// fp32 kernel serially.
-void DenseGemm(const float* a, int m, int k, const float* w, int n,
-               const float* bias, float* c) {
-  const std::vector<float> packed = nn::kernels::PackPanelsF32(w, k, n);
-  nn::kernels::Active().gemm_f32_block(a, 0, m, k, n, packed.data(), c,
-                                       /*accumulate=*/false);
-  if (bias != nullptr) {
-    for (int r = 0; r < m; ++r) {
-      float* row = c + static_cast<size_t>(r) * n;
-      for (int j = 0; j < n; ++j) {
-        row[j] += bias[j];
-      }
-    }
-  }
-}
-
-// Row-softmax shared by calibration and quantized inference: row-max and
-// normalize through the dispatched kernels, exponent through the
-// backend-invariant polynomial, denominator in double like nn::Softmax.
-void SoftmaxRows(float* x, int rows, int cols) {
-  const nn::kernels::KernelBackend& backend = nn::kernels::Active();
-  for (int r = 0; r < rows; ++r) {
-    float* row = x + static_cast<size_t>(r) * cols;
-    const float row_max = backend.row_max(row, cols);
-    for (int c = 0; c < cols; ++c) {
-      row[c] -= row_max;
-    }
-    backend.exp_f32(row, row, cols);
-    double denom = 0.0;
-    for (int c = 0; c < cols; ++c) {
-      denom += row[c];
-    }
-    backend.scale(row, static_cast<float>(1.0 / denom), row, cols);
-  }
-}
-
-const nn::Tensor* FindParam(
-    const std::vector<nn::NamedTensor>& params, const std::string& name) {
-  for (const nn::NamedTensor& p : params) {
-    if (p.first == name) {
-      return &p.second;
-    }
-  }
-  return nullptr;
-}
 
 // Inverts kernels::PackPanelsS8 back to a row-major k x n matrix so the
 // checkpoint format stays independent of the packed kernel layout.
@@ -139,6 +80,36 @@ Status ReadScale(nn::BlobReader* reader, float* scale) {
   return OkStatus();
 }
 
+// Calibration GEMMs: the fp32 GEMMs, recording the max-abs of each int8
+// GEMM's input on the way (by ForwardParams::GemmIndex; attention W is
+// shared, so its slot takes the max over features).
+class MaxAbsObserver final : public ForwardGemms {
+ public:
+  explicit MaxAbsObserver(const PackedAdamel& fp32)
+      : fp32_(fp32),
+        max_abs_(static_cast<size_t>(fp32.params().gemm_count()), 0.0f) {}
+
+  void Gemm(GemmFamily family, int feature, const float* a, int m,
+            float* c) const override {
+    const ForwardParams& params = fp32_.params();
+    float& slot = max_abs_[params.GemmIndex(family, feature)];
+    slot = std::max(slot, nn::MaxAbs(a, static_cast<int64_t>(m) *
+                                            params.GemmShape(family).first));
+    fp32_.Gemm(family, feature, a, m, c);
+  }
+
+  float Scale(GemmFamily family, int feature) const {
+    return nn::SymmetricScale(
+        max_abs_[fp32_.params().GemmIndex(family, feature)]);
+  }
+
+ private:
+  const PackedAdamel& fp32_;
+  // Observations, not model state: Gemm is const to fit the forward's
+  // interface, and Build runs the observer on one thread.
+  mutable std::vector<float> max_abs_;
+};
+
 }  // namespace
 
 StatusOr<std::shared_ptr<const QuantizedAdamelModel>>
@@ -148,234 +119,111 @@ QuantizedAdamelModel::Build(const AdamelModel& model, const float* calibration,
     return InvalidArgumentError(
         "quantization needs a non-empty calibration batch");
   }
-  const AdamelConfig& config = model.config();
+  const PackedAdamel fp32(model);
+  const MaxAbsObserver observer(fp32);
+  std::vector<float> scores(static_cast<size_t>(rows));
+  RunForward(fp32.params(), observer, calibration, rows, scores.data(),
+             /*attention=*/nullptr);
+
   // adamel-lint: allow-next-line(raw-new) -- private ctor, make_shared can't
   auto q = std::shared_ptr<QuantizedAdamelModel>(new QuantizedAdamelModel());
-  q->feature_count_ = model.feature_count();
-  q->embed_dim_ = config.embed_dim;
-  q->latent_dim_ = config.latent_dim;
-  q->attention_dim_ = config.attention_dim;
-  q->hidden_dim_ = config.hidden_dim;
-
-  const std::vector<nn::NamedTensor> params = model.NamedParameters();
-  const auto weights = [&](const std::string& name) -> const nn::Tensor* {
-    return FindParam(params, name);
+  q->params_ = fp32.params();
+  const std::vector<nn::NamedTensor> named = model.NamedParameters();
+  const auto quantize = [&](GemmFamily family, int feature) {
+    const auto [k, n] = q->params_.GemmShape(family);
+    Site site;
+    site.w = nn::QuantizeForGemm(
+        ForwardWeight(named, family, feature).data().data(), k, n);
+    site.in_scale = observer.Scale(family, feature);
+    q->sites_.push_back(std::move(site));
   };
-
-  // -- Quantize weights offline -----------------------------------------------
-  const int f = q->feature_count_;
-  const int d = q->embed_dim_;
-  const int l = q->latent_dim_;
-  const int att = q->attention_dim_;
-  const int hidden = q->hidden_dim_;
-  q->proj_w_.reserve(f);
-  q->proj_b_.reserve(f);
-  for (int j = 0; j < f; ++j) {
-    const std::string prefix = "projection" + std::to_string(j);
-    const nn::Tensor* w = weights(prefix + ".weight");
-    const nn::Tensor* b = weights(prefix + ".bias");
-    ADAMEL_CHECK(w != nullptr && b != nullptr);
-    ADAMEL_CHECK_EQ(w->rows(), d);
-    ADAMEL_CHECK_EQ(w->cols(), l);
-    q->proj_w_.push_back(nn::QuantizeForGemm(w->data().data(), d, l));
-    q->proj_b_.push_back(b->data());
+  for (int j = 0; j < q->params_.feature_count; ++j) {
+    quantize(GemmFamily::kProjection, j);
   }
-  const nn::Tensor* attn_w = weights("attention.w");
-  const nn::Tensor* attn_a = weights("attention.a");
-  const nn::Tensor* cls0_w = weights("classifier.layer0.weight");
-  const nn::Tensor* cls0_b = weights("classifier.layer0.bias");
-  const nn::Tensor* cls1_w = weights("classifier.layer1.weight");
-  const nn::Tensor* cls1_b = weights("classifier.layer1.bias");
-  ADAMEL_CHECK(attn_w != nullptr && attn_a != nullptr && cls0_w != nullptr &&
-               cls0_b != nullptr && cls1_w != nullptr && cls1_b != nullptr);
-  q->attn_w_ = nn::QuantizeForGemm(attn_w->data().data(), l, att);
-  q->attn_a_ = attn_a->data();
-  q->cls0_w_ = nn::QuantizeForGemm(cls0_w->data().data(), f * l, hidden);
-  q->cls0_b_ = cls0_b->data();
-  q->cls1_w_ = nn::QuantizeForGemm(cls1_w->data().data(), hidden, 1);
-  q->cls1_b_ = cls1_b->data();
-
-  // -- Calibrate activation scales with a dense fp32 forward ------------------
-  const int m = rows;
-  std::vector<float> h_j(static_cast<size_t>(m) * d);
-  std::vector<float> x_j(static_cast<size_t>(m) * l);
-  std::vector<float> latents(static_cast<size_t>(m) * f * l);
-  std::vector<float> energies(static_cast<size_t>(m) * f);
-  std::vector<float> t(static_cast<size_t>(m) * att);
-  q->proj_in_scale_.resize(f);
-  float attn_maxabs = 0.0f;
-  for (int j = 0; j < f; ++j) {
-    CopyCols(calibration, m, f * d, j * d, d, h_j.data());
-    q->proj_in_scale_[j] =
-        nn::SymmetricScale(nn::MaxAbs(h_j.data(), h_j.size()));
-    const nn::Tensor* w = weights("projection" + std::to_string(j) + ".weight");
-    DenseGemm(h_j.data(), m, d, w->data().data(), l,
-              q->proj_b_[j].data(), x_j.data());
-    for (float& v : x_j) {
-      v = v > 0.0f ? v : 0.0f;
-    }
-    attn_maxabs = std::max(attn_maxabs, nn::MaxAbs(x_j.data(), x_j.size()));
-    for (int r = 0; r < m; ++r) {
-      std::copy(x_j.data() + static_cast<size_t>(r) * l,
-                x_j.data() + static_cast<size_t>(r + 1) * l,
-                latents.data() + (static_cast<size_t>(r) * f + j) * l);
-    }
-    DenseGemm(x_j.data(), m, l, attn_w->data().data(), att, nullptr,
-              t.data());
-    for (int r = 0; r < m; ++r) {
-      const float* trow = t.data() + static_cast<size_t>(r) * att;
-      double e = 0.0;
-      for (int c = 0; c < att; ++c) {
-        e += std::tanh(trow[c]) * q->attn_a_[c];
-      }
-      energies[static_cast<size_t>(r) * f + j] = static_cast<float>(e);
-    }
+  for (const GemmFamily family : kSharedGemms) {
+    quantize(family, 0);
   }
-  q->attn_in_scale_ = nn::SymmetricScale(attn_maxabs);
-  SoftmaxRows(energies.data(), m, f);
-  std::vector<float> gated(static_cast<size_t>(m) * f * l);
-  for (int r = 0; r < m; ++r) {
-    for (int j = 0; j < f; ++j) {
-      const float s = energies[static_cast<size_t>(r) * f + j];
-      const float* lat = latents.data() + (static_cast<size_t>(r) * f + j) * l;
-      float* g = gated.data() + (static_cast<size_t>(r) * f + j) * l;
-      for (int c = 0; c < l; ++c) {
-        const float v = s * lat[c];
-        g[c] = v > 0.0f ? v : 0.0f;
-      }
-    }
-  }
-  q->cls0_in_scale_ = nn::SymmetricScale(nn::MaxAbs(gated.data(),
-                                                    gated.size()));
-  std::vector<float> hidden_act(static_cast<size_t>(m) * hidden);
-  DenseGemm(gated.data(), m, f * l, cls0_w->data().data(), hidden,
-            q->cls0_b_.data(), hidden_act.data());
-  for (float& v : hidden_act) {
-    v = v > 0.0f ? v : 0.0f;
-  }
-  q->cls1_in_scale_ =
-      nn::SymmetricScale(nn::MaxAbs(hidden_act.data(), hidden_act.size()));
   return std::shared_ptr<const QuantizedAdamelModel>(std::move(q));
 }
 
-std::vector<float> QuantizedAdamelModel::Score(const float* h,
-                                               int rows) const {
-  ADAMEL_CHECK_GT(rows, 0);
-  const nn::kernels::KernelBackend& backend = nn::kernels::Active();
-  const int m = rows;
-  const int f = feature_count_;
-  const int d = embed_dim_;
-  const int l = latent_dim_;
-  const int att = attention_dim_;
+void QuantizedAdamelModel::Score(const float* h, int rows,
+                                 float* scores) const {
+  RunForward(params_, *this, h, rows, scores, /*attention=*/nullptr);
+}
 
-  std::vector<float> h_j(static_cast<size_t>(m) * d);
-  std::vector<float> x_j(static_cast<size_t>(m) * l);
-  std::vector<float> latents(static_cast<size_t>(m) * f * l);
-  std::vector<float> energies(static_cast<size_t>(m) * f);
-  std::vector<float> t(static_cast<size_t>(m) * att);
-  for (int j = 0; j < f; ++j) {
-    // Eq. (4): x_j = relu(h_j V_j + b_j), int8 GEMM.
-    CopyCols(h, m, f * d, j * d, d, h_j.data());
-    nn::QuantizedGemm(h_j.data(), m, d, proj_in_scale_[j], proj_w_[j],
-                      proj_b_[j].data(), x_j.data());
-    backend.relu(x_j.data(), x_j.data(), static_cast<int64_t>(x_j.size()));
-    for (int r = 0; r < m; ++r) {
-      std::copy(x_j.data() + static_cast<size_t>(r) * l,
-                x_j.data() + static_cast<size_t>(r + 1) * l,
-                latents.data() + (static_cast<size_t>(r) * f + j) * l);
-    }
-    // Eq. (5): e_j = a^T tanh(W x_j); W in int8, tanh via the shared
-    // polynomial, the final a-dot in fp32 (att is small).
-    nn::QuantizedGemm(x_j.data(), m, l, attn_in_scale_, attn_w_, nullptr,
-                      t.data());
-    backend.tanh_f32(t.data(), t.data(), static_cast<int64_t>(t.size()));
-    for (int r = 0; r < m; ++r) {
-      const float* trow = t.data() + static_cast<size_t>(r) * att;
-      double e = 0.0;
-      for (int c = 0; c < att; ++c) {
-        e += trow[c] * attn_a_[c];
-      }
-      energies[static_cast<size_t>(r) * f + j] = static_cast<float>(e);
-    }
-  }
-  // Eq. (6): row-softmax over feature energies.
-  SoftmaxRows(energies.data(), m, f);
-  // Eq. (7): gate, classify, squash.
-  std::vector<float> gated(static_cast<size_t>(m) * f * l);
-  for (int r = 0; r < m; ++r) {
-    for (int j = 0; j < f; ++j) {
-      const float s = energies[static_cast<size_t>(r) * f + j];
-      float* g = gated.data() + (static_cast<size_t>(r) * f + j) * l;
-      backend.scale(latents.data() + (static_cast<size_t>(r) * f + j) * l, s,
-                    g, l);
-      backend.relu(g, g, l);
-    }
-  }
-  std::vector<float> hidden_act(static_cast<size_t>(m) * hidden_dim_);
-  nn::QuantizedGemm(gated.data(), m, f * l, cls0_in_scale_, cls0_w_,
-                    cls0_b_.data(), hidden_act.data());
-  backend.relu(hidden_act.data(), hidden_act.data(),
-               static_cast<int64_t>(hidden_act.size()));
-  std::vector<float> scores(static_cast<size_t>(m));
-  nn::QuantizedGemm(hidden_act.data(), m, hidden_dim_, cls1_in_scale_,
-                    cls1_w_, cls1_b_.data(), scores.data());
-  backend.sigmoid_f32(scores.data(), scores.data(),
-                      static_cast<int64_t>(scores.size()));
-  return scores;
+void QuantizedAdamelModel::Gemm(GemmFamily family, int feature,
+                                const float* a, int m, float* c) const {
+  const Site& site = sites_[params_.GemmIndex(family, feature)];
+  nn::QuantizedGemm(a, m, site.w.k, site.in_scale, site.w, /*bias=*/nullptr,
+                    c);
 }
 
 void QuantizedAdamelModel::Save(nn::BlobWriter* writer) const {
-  writer->WriteI32(feature_count_);
-  writer->WriteI32(embed_dim_);
-  writer->WriteI32(latent_dim_);
-  writer->WriteI32(attention_dim_);
-  writer->WriteI32(hidden_dim_);
-  for (int j = 0; j < feature_count_; ++j) {
-    WriteQuantizedB(proj_w_[j], writer);
-    writer->WriteFloats(proj_b_[j]);
-    writer->WriteF32(proj_in_scale_[j]);
+  writer->WriteI32(params_.feature_count);
+  writer->WriteI32(params_.embed_dim);
+  writer->WriteI32(params_.latent_dim);
+  writer->WriteI32(params_.attention_dim);
+  writer->WriteI32(params_.hidden_dim);
+  // Per GEMM: the int8 weight, the fp32 vector that goes with it (its bias,
+  // or `a` for attention W), and the input scale.
+  const auto write = [&](GemmFamily family, int feature,
+                         const std::vector<float>& fp32) {
+    const Site& site = sites_[params_.GemmIndex(family, feature)];
+    WriteQuantizedB(site.w, writer);
+    writer->WriteFloats(fp32);
+    writer->WriteF32(site.in_scale);
+  };
+  for (int j = 0; j < params_.feature_count; ++j) {
+    write(GemmFamily::kProjection, j, params_.projection_bias[j]);
   }
-  WriteQuantizedB(attn_w_, writer);
-  writer->WriteFloats(attn_a_);
-  writer->WriteF32(attn_in_scale_);
-  WriteQuantizedB(cls0_w_, writer);
-  writer->WriteFloats(cls0_b_);
-  writer->WriteF32(cls0_in_scale_);
-  WriteQuantizedB(cls1_w_, writer);
-  writer->WriteFloats(cls1_b_);
-  writer->WriteF32(cls1_in_scale_);
+  write(GemmFamily::kAttention, 0, params_.attention_a);
+  write(GemmFamily::kClassifier0, 0, params_.classifier0_bias);
+  write(GemmFamily::kClassifier1, 0, params_.classifier1_bias);
 }
 
 StatusOr<std::shared_ptr<const QuantizedAdamelModel>>
 QuantizedAdamelModel::Load(nn::BlobReader* reader) {
   // adamel-lint: allow-next-line(raw-new) -- private ctor, make_shared can't
   auto q = std::shared_ptr<QuantizedAdamelModel>(new QuantizedAdamelModel());
-  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&q->feature_count_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&q->embed_dim_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&q->latent_dim_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&q->attention_dim_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&q->hidden_dim_));
-  if (q->feature_count_ <= 0 || q->embed_dim_ <= 0 || q->latent_dim_ <= 0 ||
-      q->attention_dim_ <= 0 || q->hidden_dim_ <= 0) {
+  ForwardParams& p = q->params_;
+  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&p.feature_count));
+  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&p.embed_dim));
+  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&p.latent_dim));
+  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&p.attention_dim));
+  ADAMEL_RETURN_IF_ERROR(reader->ReadI32(&p.hidden_dim));
+  if (p.feature_count <= 0 || p.embed_dim <= 0 || p.latent_dim <= 0 ||
+      p.attention_dim <= 0 || p.hidden_dim <= 0) {
     return InvalidArgumentError("bad quantized model dimensions");
   }
-  q->proj_w_.resize(q->feature_count_);
-  q->proj_b_.resize(q->feature_count_);
-  q->proj_in_scale_.resize(q->feature_count_);
-  for (int j = 0; j < q->feature_count_; ++j) {
-    ADAMEL_RETURN_IF_ERROR(ReadQuantizedB(reader, &q->proj_w_[j]));
-    ADAMEL_RETURN_IF_ERROR(reader->ReadFloats(&q->proj_b_[j]));
-    ADAMEL_RETURN_IF_ERROR(ReadScale(reader, &q->proj_in_scale_[j]));
+  q->sites_.resize(p.gemm_count());
+  // Also checks the shapes the forward will use, so a corrupt blob fails
+  // here instead of indexing out of bounds later. Every fp32 vector (a
+  // bias, or `a`) has n entries.
+  const auto read = [&](GemmFamily family, int feature,
+                        std::vector<float>* fp32) -> Status {
+    Site& site = q->sites_[p.GemmIndex(family, feature)];
+    ADAMEL_RETURN_IF_ERROR(ReadQuantizedB(reader, &site.w));
+    ADAMEL_RETURN_IF_ERROR(reader->ReadFloats(fp32));
+    ADAMEL_RETURN_IF_ERROR(ReadScale(reader, &site.in_scale));
+    const auto [k, n] = p.GemmShape(family);
+    if (site.w.k != k || site.w.n != n ||
+        fp32->size() != static_cast<size_t>(n)) {
+      return InvalidArgumentError("quantized tensor shape mismatch");
+    }
+    return OkStatus();
+  };
+  p.projection_bias.resize(p.feature_count);
+  for (int j = 0; j < p.feature_count; ++j) {
+    ADAMEL_RETURN_IF_ERROR(
+        read(GemmFamily::kProjection, j, &p.projection_bias[j]));
   }
-  ADAMEL_RETURN_IF_ERROR(ReadQuantizedB(reader, &q->attn_w_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadFloats(&q->attn_a_));
-  ADAMEL_RETURN_IF_ERROR(ReadScale(reader, &q->attn_in_scale_));
-  ADAMEL_RETURN_IF_ERROR(ReadQuantizedB(reader, &q->cls0_w_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadFloats(&q->cls0_b_));
-  ADAMEL_RETURN_IF_ERROR(ReadScale(reader, &q->cls0_in_scale_));
-  ADAMEL_RETURN_IF_ERROR(ReadQuantizedB(reader, &q->cls1_w_));
-  ADAMEL_RETURN_IF_ERROR(reader->ReadFloats(&q->cls1_b_));
-  ADAMEL_RETURN_IF_ERROR(ReadScale(reader, &q->cls1_in_scale_));
+  ADAMEL_RETURN_IF_ERROR(read(GemmFamily::kAttention, 0, &p.attention_a));
+  ADAMEL_RETURN_IF_ERROR(
+      read(GemmFamily::kClassifier0, 0, &p.classifier0_bias));
+  ADAMEL_RETURN_IF_ERROR(
+      read(GemmFamily::kClassifier1, 0, &p.classifier1_bias));
+  p.attention_a_packed =
+      nn::kernels::PackPanelsF32(p.attention_a.data(), p.attention_dim, 1);
   return std::shared_ptr<const QuantizedAdamelModel>(std::move(q));
 }
 

@@ -5,14 +5,14 @@
 //
 // Built offline from a trained model plus a calibration batch: weights get
 // symmetric per-tensor int8 scales from their trained values, activations
-// get scales from a dense fp32 forward over the calibration rows (max-abs
-// observed at each quantized GEMM input). Inference then runs the four GEMM
-// families (per-feature projections, attention W, both classifier layers)
-// in int8 with int32 accumulation and the transcendentals through the
-// kernel-layer polynomial — so quantized scores are bitwise identical on
-// every kernel backend and at any thread count, while accuracy is bounded
-// end to end by the golden-metrics 2% bands rather than bitwise parity
-// with the fp32 path.
+// get scales from one fp32 run of the shared forward (core/inference.h)
+// whose GEMMs record the max-abs of every int8 GEMM's input. Scoring runs
+// that same forward with the four GEMM families (per-feature projections,
+// attention W, both classifier layers) in int8 with int32 accumulation;
+// every other step, libm transcendentals included, is the fp32 forward's.
+// So quantized scores are bitwise identical on every kernel backend and at
+// any thread count, while accuracy is bounded end to end by the
+// golden-metrics 2% bands rather than bitwise parity with the fp32 path.
 //
 // This type is inference-only and immutable after Build/Load; serving
 // threads may Score concurrently.
@@ -21,13 +21,14 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/inference.h"
 #include "core/model.h"
 #include "nn/quantize.h"
 #include "nn/serialize.h"
 
 namespace adamel::core {
 
-class QuantizedAdamelModel {
+class QuantizedAdamelModel final : private ForwardGemms {
  public:
   /// Quantizes `model` and calibrates activation scales on `calibration`
   /// (`rows` x feature_count*embed_dim, row-major — a featurized pair
@@ -35,8 +36,9 @@ class QuantizedAdamelModel {
   static StatusOr<std::shared_ptr<const QuantizedAdamelModel>> Build(
       const AdamelModel& model, const float* calibration, int rows);
 
-  /// Sigmoid match scores for `h` (`rows` x feature_count*embed_dim).
-  std::vector<float> Score(const float* h, int rows) const;
+  /// Writes sigmoid match scores for `h` (`rows` x feature_count*embed_dim)
+  /// to `scores` (`rows`).
+  void Score(const float* h, int rows, float* scores) const;
 
   /// Serializes scales + int8 weights (row-major, so the packed kernel
   /// layout can evolve without a format break).
@@ -46,34 +48,25 @@ class QuantizedAdamelModel {
   static StatusOr<std::shared_ptr<const QuantizedAdamelModel>> Load(
       nn::BlobReader* reader);
 
-  int feature_count() const { return feature_count_; }
-  int input_cols() const { return feature_count_ * embed_dim_; }
+  /// Width of the featurized rows Score reads: feature_count*embed_dim.
+  int input_cols() const { return params_.feature_count * params_.embed_dim; }
 
  private:
+  // One int8 GEMM of the forward: its weight and the calibrated scale of
+  // its input.
+  struct Site {
+    nn::QuantizedGemmB w;
+    float in_scale = 0.0f;
+  };
+
   QuantizedAdamelModel() = default;
 
-  int feature_count_ = 0;
-  int embed_dim_ = 0;
-  int latent_dim_ = 0;
-  int attention_dim_ = 0;
-  int hidden_dim_ = 0;
+  void Gemm(GemmFamily family, int feature, const float* a, int m,
+            float* c) const override;
 
-  // Eq. (4) per-feature projections.
-  std::vector<nn::QuantizedGemmB> proj_w_;
-  std::vector<std::vector<float>> proj_b_;
-  std::vector<float> proj_in_scale_;
-  // Eq. (5) shared attention parameters; `a` is a small dot product and
-  // stays fp32.
-  nn::QuantizedGemmB attn_w_;
-  std::vector<float> attn_a_;
-  float attn_in_scale_ = 0.0f;
-  // Eq. (7) classifier layers.
-  nn::QuantizedGemmB cls0_w_;
-  std::vector<float> cls0_b_;
-  float cls0_in_scale_ = 0.0f;
-  nn::QuantizedGemmB cls1_w_;
-  std::vector<float> cls1_b_;
-  float cls1_in_scale_ = 0.0f;
+  // Biases and the attention vector `a` stay fp32.
+  ForwardParams params_;
+  std::vector<Site> sites_;  // by ForwardParams::GemmIndex
 };
 
 }  // namespace adamel::core

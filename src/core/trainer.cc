@@ -21,6 +21,21 @@ namespace {
 constexpr int kPredictBatch = 512;
 constexpr float kProbEps = 1e-8f;
 
+// Calls fn(start, count) for every kPredictBatch-row chunk of `rows`, across
+// the pool. Chunks are independent at inference time: each reads the frozen
+// weights and writes a disjoint output slice, and the forward is row-local,
+// so results do not depend on the chunking or the thread count.
+template <typename Fn>
+void ForEachPredictBatch(int rows, const Fn& fn) {
+  const int batches = (rows + kPredictBatch - 1) / kPredictBatch;
+  ParallelFor(0, batches, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t batch = lo; batch < hi; ++batch) {
+      const int start = static_cast<int>(batch) * kPredictBatch;
+      fn(start, std::min(kPredictBatch, rows - start));
+    }
+  });
+}
+
 #if ADAMEL_TELEMETRY_ENABLED
 // Shannon entropy (nats) of the batch-mean attention distribution — the
 // paper's α importance weights (Figures 6-8). Pure read of detached values;
@@ -399,10 +414,11 @@ Status LoadTrainState(const std::string& path, AdamelVariant variant,
 }  // namespace
 
 TrainedAdamel::TrainedAdamel(std::shared_ptr<FeatureExtractor> extractor,
-                             std::shared_ptr<AdamelModel> model)
+                             std::shared_ptr<const AdamelModel> model)
     : extractor_(std::move(extractor)), model_(std::move(model)) {
   ADAMEL_CHECK(extractor_ != nullptr);
   ADAMEL_CHECK(model_ != nullptr);
+  packed_ = std::make_shared<const PackedAdamel>(*model_);
 }
 
 std::vector<float> TrainedAdamel::ScorePairs(data::PairSpan batch) const {
@@ -410,22 +426,13 @@ std::vector<float> TrainedAdamel::ScorePairs(data::PairSpan batch) const {
   ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kEval);
   ADAMEL_TRACE_SCOPE("predict.score");
   ADAMEL_COUNTER_ADD("predict.pairs", features.pair_count);
-  // Batches are independent at inference time: each one reads the frozen
-  // model and writes a disjoint slice of `scores`, so the batch loop
-  // parallelizes across the pool (ops called inside a worker run inline).
-  const int batches =
-      (features.pair_count + kPredictBatch - 1) / kPredictBatch;
+  const float* h = features.matrix.data().data();
+  const int cols = features.matrix.cols();
   std::vector<float> scores(features.pair_count);
-  ParallelFor(0, batches, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t batch = lo; batch < hi; ++batch) {
-      const int start = static_cast<int>(batch) * kPredictBatch;
-      const int count = std::min(kPredictBatch, features.pair_count - start);
-      const nn::Tensor h = nn::SliceRows(features.matrix, start, count);
-      const nn::Tensor probs = nn::Sigmoid(model_->Forward(h).logits);
-      for (int i = 0; i < count; ++i) {
-        scores[start + i] = probs.At(i, 0);
-      }
-    }
+  ForEachPredictBatch(features.pair_count, [&](int start, int count) {
+    RunForward(packed_->params(), *packed_,
+               h + static_cast<size_t>(start) * cols, count,
+               scores.data() + start, /*attention=*/nullptr);
   });
   return scores;
 }
@@ -456,35 +463,31 @@ StatusOr<std::vector<float>> TrainedAdamel::ScorePairsQuantized(
   ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kEval);
   ADAMEL_TRACE_SCOPE("predict.score_quantized");
   ADAMEL_COUNTER_ADD("predict.quantized_pairs", features.pair_count);
-  if (features.pair_count == 0) {
-    return std::vector<float>();
-  }
-  // Per-pair values depend only on that pair's feature row (the quantized
-  // forward is row-local), so like ScorePairs this is bitwise independent
-  // of how callers split pairs into batches.
-  return quantized_->Score(features.matrix.data().data(),
-                           features.pair_count);
+  const float* h = features.matrix.data().data();
+  const int cols = features.matrix.cols();
+  std::vector<float> scores(features.pair_count);
+  ForEachPredictBatch(features.pair_count, [&](int start, int count) {
+    quantized_->Score(h + static_cast<size_t>(start) * cols, count,
+                      scores.data() + start);
+  });
+  return scores;
 }
 
 std::vector<std::vector<float>> TrainedAdamel::AttentionVectors(
     const data::PairDataset& dataset) const {
   const FeaturizedPairs features = extractor_->Featurize(dataset);
-  const int batches =
-      (features.pair_count + kPredictBatch - 1) / kPredictBatch;
+  const float* h = features.matrix.data().data();
+  const int cols = features.matrix.cols();
+  const int f = model_->feature_count();
   std::vector<std::vector<float>> vectors(features.pair_count);
-  ParallelFor(0, batches, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t batch = lo; batch < hi; ++batch) {
-      const int start = static_cast<int>(batch) * kPredictBatch;
-      const int count = std::min(kPredictBatch, features.pair_count - start);
-      const nn::Tensor h = nn::SliceRows(features.matrix, start, count);
-      const nn::Tensor attention = model_->ForwardAttention(h);
-      for (int i = 0; i < count; ++i) {
-        std::vector<float> row(attention.cols());
-        for (int j = 0; j < attention.cols(); ++j) {
-          row[j] = attention.At(i, j);
-        }
-        vectors[start + i] = std::move(row);
-      }
+  ForEachPredictBatch(features.pair_count, [&](int start, int count) {
+    std::vector<float> attention(static_cast<size_t>(count) * f);
+    RunForward(packed_->params(), *packed_,
+               h + static_cast<size_t>(start) * cols, count,
+               /*scores=*/nullptr, attention.data());
+    for (int i = 0; i < count; ++i) {
+      vectors[start + i].assign(attention.begin() + i * f,
+                                attention.begin() + (i + 1) * f);
     }
   });
   return vectors;
@@ -595,9 +598,12 @@ StatusOr<std::shared_ptr<TrainedAdamel>> TrainedAdamel::LoadFromFile(
     if (!quantized.ok()) {
       return quantized.status();
     }
-    if ((*quantized)->feature_count() != trained->model().feature_count()) {
+    // Both forwards read the same featurized rows.
+    const AdamelModel& model = trained->model();
+    if ((*quantized)->input_cols() !=
+        model.feature_count() * model.config().embed_dim) {
       return InvalidArgumentError(
-          "corrupt checkpoint: quantized feature count does not match model");
+          "corrupt checkpoint: quantized input width does not match model");
     }
     trained->quantized_ = std::move(quantized).value();
   }

@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "core/config.h"
 #include "core/features.h"
+#include "core/inference.h"
 #include "core/linkage_model.h"
 #include "core/model.h"
 #include "core/quantized_model.h"
@@ -17,23 +18,27 @@
 
 namespace adamel::core {
 
-/// A trained AdaMEL model bound to its feature extractor.
+/// A trained AdaMEL model bound to its feature extractor. The model is
+/// frozen: its weights are packed once at construction, and every
+/// inference call runs the graph-free forward of core/inference.h.
 class TrainedAdamel {
  public:
   TrainedAdamel(std::shared_ptr<FeatureExtractor> extractor,
-                std::shared_ptr<AdamelModel> model);
+                std::shared_ptr<const AdamelModel> model);
 
   /// Match probabilities for every pair of `batch` (sigmoid of Eq. (7)
-  /// logits). Infallible — a TrainedAdamel is always fitted — and bitwise
-  /// independent of how pairs are grouped into batches: scoring chunks by a
-  /// fixed internal batch size, and every per-pair value depends only on
-  /// that pair's row. The serving micro-batcher relies on this to coalesce
-  /// concurrent requests without changing their scores.
+  /// logits), bitwise equal to Sigmoid(model().Forward(h).logits) but
+  /// computed without an autograd graph. Infallible — a TrainedAdamel is
+  /// always fitted — and bitwise independent of how pairs are grouped into
+  /// batches: scoring chunks by a fixed internal batch size, and every
+  /// per-pair value depends only on that pair's row. The serving
+  /// micro-batcher relies on this to coalesce concurrent requests without
+  /// changing their scores.
   std::vector<float> ScorePairs(data::PairSpan batch) const;
 
-  /// Attention vector f(x_i) per pair — the transferable knowledge K. Used
-  /// by the adaptation visualization (Figure 7) and attention analysis
-  /// (Table 4).
+  /// Attention vector f(x_i) per pair — the transferable knowledge K —
+  /// bitwise equal to the rows of model().ForwardAttention(h). Used by the
+  /// adaptation visualization (Figure 7) and attention analysis (Table 4).
   std::vector<std::vector<float>> AttentionVectors(
       const data::PairDataset& dataset) const;
 
@@ -75,7 +80,8 @@ class TrainedAdamel {
 
  private:
   std::shared_ptr<FeatureExtractor> extractor_;
-  std::shared_ptr<AdamelModel> model_;
+  std::shared_ptr<const AdamelModel> model_;
+  std::shared_ptr<const PackedAdamel> packed_;  // model_'s weights, packed
   std::shared_ptr<const QuantizedAdamelModel> quantized_;
 };
 

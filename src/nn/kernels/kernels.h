@@ -32,24 +32,21 @@ inline constexpr int kGemmPanel = 16;
 /// padding.
 inline constexpr int kQuantKUnroll = 2;
 
-/// One kernel backend: a table of function pointers `nn/ops.cc` and the
-/// quantized serving path call through, so op code never names an ISA.
+/// One kernel backend: a table of function pointers `nn/ops.cc`, the
+/// graph-free inference forward (core/inference.h) and the int8 GEMM call
+/// through, so op code never names an ISA.
 ///
-/// Exactness contract (enforced by tests/kernels_test.cpp):
-///  - `gemm_f32_block`, `relu`, `relu_grad`, `scale`, `row_max`,
-///    `quantize_s8`, and `gemm_s8_block` produce bitwise-identical results
-///    on every backend: each output element is computed by the same
-///    sequence of IEEE operations in the same order (SIMD lanes mirror the
-///    scalar loop; multiplies and adds stay separate instructions — no FMA
-///    contraction, which is why the SIMD translation units compile with
-///    `-ffp-contract=off`). `row_max` assumes non-NaN input (a NaN row
-///    poisons the downstream softmax identically either way).
-///  - `exp_f32`, `tanh_f32`, `sigmoid_f32` evaluate a shared polynomial
-///    (see kernels_common.h), NOT libm: all backends agree bitwise with
-///    each other, but differ from std::exp/tanh by a documented tolerance
-///    (|rel err| < 3e-6 for exp over [-87, 88]; |abs err| < 4e-6 for
-///    tanh/sigmoid). The exact fp32 op path in nn/ops.cc therefore keeps
-///    libm; only the quantized serving path and bench use these.
+/// Exactness contract (enforced by tests/kernels_test.cpp): every entry
+/// produces bitwise-identical results on every backend. Each output element
+/// is computed by the same sequence of IEEE operations in the same order
+/// (SIMD lanes mirror the scalar loop; multiplies and adds stay separate
+/// instructions — no FMA contraction, which is why the SIMD translation
+/// units compile with `-ffp-contract=off`). `row_max` assumes non-NaN input
+/// (a NaN row poisons the downstream softmax identically either way).
+///
+/// The table holds no transcendentals: exp/tanh/sigmoid are scalar libm
+/// calls in nn/ops.cc and core/inference.cc, so they cannot vary with the
+/// backend.
 struct KernelBackend {
   const char* name;
 
@@ -67,11 +64,6 @@ struct KernelBackend {
   void (*relu_grad)(const float* x, const float* g, float* dx, int64_t n);
   void (*scale)(const float* x, float s, float* y, int64_t n);
   float (*row_max)(const float* x, int64_t n);  // n >= 1
-
-  // -- approximate transcendentals (polynomial; backend-invariant) -----------
-  void (*exp_f32)(const float* x, float* y, int64_t n);
-  void (*tanh_f32)(const float* x, float* y, int64_t n);
-  void (*sigmoid_f32)(const float* x, float* y, int64_t n);
 
   // -- int8 symmetric quantization -------------------------------------------
   // q[i] = clamp(round_to_nearest_even(x[i] * inv_scale), -127, 127)

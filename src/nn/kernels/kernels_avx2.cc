@@ -2,9 +2,8 @@
 //
 // Same parity rules as kernels_sse.cc: no FMA intrinsics and
 // -ffp-contract=off (separate mul/add keeps the scalar accumulation order
-// bitwise), min/max operand order mirrors the scalar ternaries' NaN
-// fallback, and the polynomial transcendentals follow kernels_common.h
-// step for step. The fp32 GEMM adds 4-row register blocking — that amortizes
+// bitwise), and min/max operand order mirrors the scalar ternaries' NaN
+// fallback. The fp32 GEMM adds 4-row register blocking — that amortizes
 // B-panel loads across rows but leaves each output element's k-ascending
 // accumulation untouched, so results still match the scalar backend bitwise.
 
@@ -16,38 +15,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "nn/kernels/kernels.h"
 #include "nn/kernels/kernels_common.h"
 
 namespace adamel::nn::kernels {
 namespace {
-
-// exp poly on 8 lanes; mirrors detail::ExpPoly step for step.
-inline __m256 ExpPolyPs(__m256 v) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  __m256 x = _mm256_min_ps(v, _mm256_set1_ps(detail::kExpHi));
-  x = _mm256_max_ps(x, _mm256_set1_ps(detail::kExpLo));
-  __m256 fx = _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(detail::kLog2E)),
-                            _mm256_set1_ps(0.5f));
-  fx = _mm256_floor_ps(fx);
-  x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(detail::kExpC1)));
-  x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(detail::kExpC2)));
-  const __m256 z = _mm256_mul_ps(x, x);
-  __m256 y = _mm256_set1_ps(detail::kExpP0);
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(detail::kExpP1));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(detail::kExpP2));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(detail::kExpP3));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(detail::kExpP4));
-  y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(detail::kExpP5));
-  y = _mm256_add_ps(_mm256_mul_ps(y, z), x);
-  y = _mm256_add_ps(y, one);
-  __m256i n = _mm256_cvttps_epi32(fx);
-  n = _mm256_add_epi32(n, _mm256_set1_epi32(127));
-  n = _mm256_slli_epi32(n, 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(n));
-}
 
 // Writes one finished 16-wide panel accumulator pair for one row.
 inline void StorePanel(float* out, int width, __m256 lo, __m256 hi,
@@ -202,43 +175,6 @@ float RowMax(const float* x, int64_t n) {
   return m;
 }
 
-void ExpF32(const float* x, float* y, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, ExpPolyPs(_mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) {
-    y[i] = detail::ExpPoly(x[i]);
-  }
-}
-
-void TanhF32(const float* x, float* y, int64_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 two = _mm256_set1_ps(2.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 e = ExpPolyPs(_mm256_mul_ps(two, _mm256_loadu_ps(x + i)));
-    _mm256_storeu_ps(
-        y + i, _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one)));
-  }
-  for (; i < n; ++i) {
-    y[i] = detail::TanhPoly(x[i]);
-  }
-}
-
-void SigmoidF32(const float* x, float* y, int64_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 e = ExpPolyPs(_mm256_xor_ps(_mm256_loadu_ps(x + i), sign));
-    _mm256_storeu_ps(y + i, _mm256_div_ps(one, _mm256_add_ps(one, e)));
-  }
-  for (; i < n; ++i) {
-    y[i] = detail::SigmoidPoly(x[i]);
-  }
-}
-
 void QuantizeS8(const float* x, float inv_scale, int8_t* q, int64_t n) {
   const __m256 sv = _mm256_set1_ps(inv_scale);
   const __m256 hi = _mm256_set1_ps(127.0f);
@@ -323,9 +259,6 @@ const KernelBackend* Avx2Backend() {
       .relu_grad = ReluGrad,
       .scale = Scale,
       .row_max = RowMax,
-      .exp_f32 = ExpF32,
-      .tanh_f32 = TanhF32,
-      .sigmoid_f32 = SigmoidF32,
       .quantize_s8 = QuantizeS8,
       .gemm_s8_block = GemmS8Block,
   };

@@ -8,76 +8,11 @@
 // three evaluate the same IEEE operations in the same order. Any change
 // here must be mirrored in kernels_sse.cc / kernels_avx2.cc, and
 // tests/kernels_test.cpp will catch a mismatch.
-//
-// The polynomial transcendentals (ExpPoly/TanhPoly/SigmoidPoly) are the
-// Cephes single-precision expf scheme: range-reduce by log2(e) with a
-// Cody-Waite split constant, evaluate a degree-5 polynomial, scale by
-// 2^n through the exponent bits. They are NOT libm: accuracy is documented
-// in kernels.h; the exact fp32 op path keeps std::exp/std::tanh.
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 namespace adamel::nn::kernels::detail {
-
-// Cephes expf constants (Moshier; the sse_mathfun lineage). The upper
-// clamp is pulled below Cephes' 88.3762...: at that value the range
-// reduction lands on fx = 128, which overflows the 2^fx exponent-bit trick
-// to +inf (and TanhPoly would then return inf/inf = NaN). 88.02 keeps
-// fx <= 127 and exp(88.02) ~ 1.66e38 finite, while the documented accuracy
-// range [-87, 88] is unaffected.
-inline constexpr float kExpHi = 88.02f;
-inline constexpr float kExpLo = -88.3762626647949f;
-inline constexpr float kLog2E = 1.44269504088896341f;
-inline constexpr float kExpC1 = 0.693359375f;
-inline constexpr float kExpC2 = -2.12194440e-4f;
-inline constexpr float kExpP0 = 1.9875691500e-4f;
-inline constexpr float kExpP1 = 1.3981999507e-3f;
-inline constexpr float kExpP2 = 8.3334519073e-3f;
-inline constexpr float kExpP3 = 4.1665795894e-2f;
-inline constexpr float kExpP4 = 1.6666665459e-1f;
-inline constexpr float kExpP5 = 5.0000001201e-1f;
-
-// exp(v) for one lane. Saturates: v <= kExpLo underflows to 0, v >= kExpHi
-// clamps to exp(kExpHi) (~1.66e38, still finite in fp32).
-inline float ExpPoly(float v) {
-  float x = v < kExpHi ? v : kExpHi;
-  x = x > kExpLo ? x : kExpLo;
-  float fx = x * kLog2E + 0.5f;
-  fx = std::floor(fx);
-  x = x - fx * kExpC1;
-  x = x - fx * kExpC2;
-  const float z = x * x;
-  float y = kExpP0;
-  y = y * x + kExpP1;
-  y = y * x + kExpP2;
-  y = y * x + kExpP3;
-  y = y * x + kExpP4;
-  y = y * x + kExpP5;
-  y = y * z + x;
-  y = y + 1.0f;
-  // 2^fx through the exponent field; fx is integral in [-127, 127].
-  const int32_t n = static_cast<int32_t>(fx);
-  const uint32_t bits = static_cast<uint32_t>(n + 127) << 23;
-  float pow2;
-  std::memcpy(&pow2, &bits, sizeof(pow2));
-  return y * pow2;
-}
-
-// tanh(v) = (e^{2v} - 1) / (e^{2v} + 1); monotone saturation is inherited
-// from ExpPoly's clamps (|v| >= ~44 returns exactly +/-1).
-inline float TanhPoly(float v) {
-  const float e = ExpPoly(2.0f * v);
-  return (e - 1.0f) / (e + 1.0f);
-}
-
-// sigmoid(v) = 1 / (1 + e^{-v}); no branch, ExpPoly saturation keeps both
-// tails finite.
-inline float SigmoidPoly(float v) {
-  const float e = ExpPoly(-v);
-  return 1.0f / (1.0f + e);
-}
 
 // q = clamp(round-to-nearest-even(x * inv_scale), -127, 127). nearbyint
 // under the default rounding mode matches the SSE/AVX cvtps rounding, so

@@ -75,24 +75,6 @@ float RowMax(const float* x, int64_t n) {
   return m;
 }
 
-void ExpF32(const float* x, float* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    y[i] = detail::ExpPoly(x[i]);
-  }
-}
-
-void TanhF32(const float* x, float* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    y[i] = detail::TanhPoly(x[i]);
-  }
-}
-
-void SigmoidF32(const float* x, float* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    y[i] = detail::SigmoidPoly(x[i]);
-  }
-}
-
 void QuantizeS8(const float* x, float inv_scale, int8_t* q, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     q[i] = detail::QuantizeOne(x[i], inv_scale);
@@ -143,9 +125,6 @@ const KernelBackend& ScalarBackend() {
       .relu_grad = ReluGrad,
       .scale = Scale,
       .row_max = RowMax,
-      .exp_f32 = ExpF32,
-      .tanh_f32 = TanhF32,
-      .sigmoid_f32 = SigmoidF32,
       .quantize_s8 = QuantizeS8,
       .gemm_s8_block = GemmS8Block,
   };

@@ -6,9 +6,7 @@
 //    matches the scalar k-ascending order bitwise;
 //  - min/max/compare operand order is chosen so NaN handling matches the
 //    scalar ternaries it mirrors (maxps/minps return the SECOND operand on
-//    NaN, which is exactly the `cond ? v : fallback` fallback slot);
-//  - the polynomial transcendentals evaluate the same constants in the same
-//    order as kernels_common.h.
+//    NaN, which is exactly the `cond ? v : fallback` fallback slot).
 
 #include "nn/kernels/backends.h"
 
@@ -25,31 +23,6 @@
 
 namespace adamel::nn::kernels {
 namespace {
-
-// exp poly on 4 lanes; mirrors detail::ExpPoly step for step.
-inline __m128 ExpPolyPs(__m128 v) {
-  const __m128 one = _mm_set1_ps(1.0f);
-  __m128 x = _mm_min_ps(v, _mm_set1_ps(detail::kExpHi));
-  x = _mm_max_ps(x, _mm_set1_ps(detail::kExpLo));
-  __m128 fx = _mm_add_ps(_mm_mul_ps(x, _mm_set1_ps(detail::kLog2E)),
-                         _mm_set1_ps(0.5f));
-  fx = _mm_floor_ps(fx);
-  x = _mm_sub_ps(x, _mm_mul_ps(fx, _mm_set1_ps(detail::kExpC1)));
-  x = _mm_sub_ps(x, _mm_mul_ps(fx, _mm_set1_ps(detail::kExpC2)));
-  const __m128 z = _mm_mul_ps(x, x);
-  __m128 y = _mm_set1_ps(detail::kExpP0);
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(detail::kExpP1));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(detail::kExpP2));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(detail::kExpP3));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(detail::kExpP4));
-  y = _mm_add_ps(_mm_mul_ps(y, x), _mm_set1_ps(detail::kExpP5));
-  y = _mm_add_ps(_mm_mul_ps(y, z), x);
-  y = _mm_add_ps(y, one);
-  __m128i n = _mm_cvttps_epi32(fx);
-  n = _mm_add_epi32(n, _mm_set1_epi32(127));
-  n = _mm_slli_epi32(n, 23);
-  return _mm_mul_ps(y, _mm_castsi128_ps(n));
-}
 
 void GemmF32Block(const float* a, int64_t row_begin, int64_t row_end, int k,
                   int n, const float* packed_b, float* c, bool accumulate) {
@@ -169,43 +142,6 @@ float RowMax(const float* x, int64_t n) {
   return m;
 }
 
-void ExpF32(const float* x, float* y, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(y + i, ExpPolyPs(_mm_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) {
-    y[i] = detail::ExpPoly(x[i]);
-  }
-}
-
-void TanhF32(const float* x, float* y, int64_t n) {
-  const __m128 one = _mm_set1_ps(1.0f);
-  const __m128 two = _mm_set1_ps(2.0f);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 e = ExpPolyPs(_mm_mul_ps(two, _mm_loadu_ps(x + i)));
-    _mm_storeu_ps(y + i,
-                  _mm_div_ps(_mm_sub_ps(e, one), _mm_add_ps(e, one)));
-  }
-  for (; i < n; ++i) {
-    y[i] = detail::TanhPoly(x[i]);
-  }
-}
-
-void SigmoidF32(const float* x, float* y, int64_t n) {
-  const __m128 one = _mm_set1_ps(1.0f);
-  const __m128 sign = _mm_set1_ps(-0.0f);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 e = ExpPolyPs(_mm_xor_ps(_mm_loadu_ps(x + i), sign));
-    _mm_storeu_ps(y + i, _mm_div_ps(one, _mm_add_ps(one, e)));
-  }
-  for (; i < n; ++i) {
-    y[i] = detail::SigmoidPoly(x[i]);
-  }
-}
-
 void QuantizeS8(const float* x, float inv_scale, int8_t* q, int64_t n) {
   const __m128 sv = _mm_set1_ps(inv_scale);
   const __m128 hi = _mm_set1_ps(127.0f);
@@ -302,9 +238,6 @@ const KernelBackend* SseBackend() {
       .relu_grad = ReluGrad,
       .scale = Scale,
       .row_max = RowMax,
-      .exp_f32 = ExpF32,
-      .tanh_f32 = TanhF32,
-      .sigmoid_f32 = SigmoidF32,
       .quantize_s8 = QuantizeS8,
       .gemm_s8_block = GemmS8Block,
   };

@@ -253,9 +253,10 @@ Tensor AddScalar(const Tensor& a, float value) {
 }
 
 // MulScalar and Relu run their forward (and Relu's backward) through the
-// dispatched kernel table — the two hottest elementwise ops on the serving
-// path. Every backend computes the identical expression, so routing through
-// kernels::Active() changes nothing bitwise (see nn/kernels/kernels.h).
+// dispatched kernel table — the two hottest elementwise ops of the
+// training step. Every backend computes the identical expression, so
+// routing through kernels::Active() changes nothing bitwise (see
+// nn/kernels/kernels.h).
 Tensor MulScalar(const Tensor& a, float value) {
   ADAMEL_CHECK(a.defined());
   const auto& ai = *a.impl();
@@ -280,8 +281,6 @@ Tensor MulScalar(const Tensor& a, float value) {
   });
   return FinishOp("MulScalar", std::move(out), {a_impl.get()});
 }
-
-Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
 Tensor Relu(const Tensor& a) {
   ADAMEL_CHECK(a.defined());
@@ -387,12 +386,12 @@ std::vector<float> PackPanelsTransposed(const float* src, int k_dim,
 }
 
 // Row-parallel packed kernel; `accumulate` selects `+=` (gradients) vs `=`.
-void GemmPacked(int m, int n, int k, const float* a,
-                const std::vector<float>& packed_b, float* c,
-                bool accumulate) {
+void GemmPacked(int m, int n, int k, const float* a, const float* packed_b,
+                float* c, bool accumulate) {
   const int64_t flops = static_cast<int64_t>(m) * n * k;
-  // Every MatMul forward and both backward grads funnel through this
-  // kernel, so these two counters cover the model's full GEMM work. The
+  // Every MatMul forward (graph-free MatMulPacked included) and both
+  // backward grads funnel through this kernel, so these two counters cover
+  // the model's full fp32 GEMM work. The
   // conventional FLOP estimate is 2*m*n*k (one multiply + one add per MAC).
   ADAMEL_COUNTER_ADD("nn.gemm.calls", 1);
   ADAMEL_COUNTER_ADD("nn.gemm.flops", 2 * flops);
@@ -402,11 +401,16 @@ void GemmPacked(int m, int n, int k, const float* a,
           : m;
   const kernels::KernelBackend& backend = kernels::Active();
   ParallelFor(0, m, grain, [&](int64_t ib, int64_t ie) {
-    backend.gemm_f32_block(a, ib, ie, k, n, packed_b.data(), c, accumulate);
+    backend.gemm_f32_block(a, ib, ie, k, n, packed_b, c, accumulate);
   });
 }
 
 }  // namespace
+
+void MatMulPacked(const float* a, int m, int k, const float* packed_b, int n,
+                  float* c) {
+  GemmPacked(m, n, k, a, packed_b, c, /*accumulate=*/false);
+}
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   ADAMEL_CHECK(a.defined() && b.defined());
@@ -419,8 +423,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   auto out = NewResult(rows, cols);
   {
     const std::vector<float> packed = PackPanels(bi.data.data(), inner, cols);
-    GemmPacked(rows, cols, inner, ai.data.data(), packed, out->data.data(),
-               /*accumulate=*/false);
+    MatMulPacked(ai.data.data(), rows, inner, packed.data(), cols,
+                 out->data.data());
   }
   auto a_impl = a.impl();
   auto b_impl = b.impl();
@@ -433,7 +437,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       a_impl->EnsureGrad();
       const std::vector<float> packed_bt =
           PackPanelsTransposed(b_impl->data.data(), cols, inner);
-      GemmPacked(rows, inner, cols, self.grad.data(), packed_bt,
+      GemmPacked(rows, inner, cols, self.grad.data(), packed_bt.data(),
                  a_impl->grad.data(), /*accumulate=*/true);
     }
     if (b_impl->requires_grad) {
@@ -448,7 +452,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
       }
       const std::vector<float> packed_g =
           PackPanels(self.grad.data(), rows, cols);
-      GemmPacked(inner, cols, rows, a_t.data(), packed_g,
+      GemmPacked(inner, cols, rows, a_t.data(), packed_g.data(),
                  b_impl->grad.data(), /*accumulate=*/true);
     }
   });

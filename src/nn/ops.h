@@ -29,8 +29,6 @@ Tensor MulScalar(const Tensor& a, float value);
 
 // Elementwise unary operations.
 
-/// Returns -a.
-Tensor Neg(const Tensor& a);
 /// Returns max(a, 0).
 Tensor Relu(const Tensor& a);
 /// Returns tanh(a).
@@ -55,6 +53,13 @@ Tensor Clip(const Tensor& a, float lo, float hi);
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Transpose (RxC -> CxR).
 Tensor Transpose(const Tensor& a);
+
+/// Graph-free MatMul forward on raw buffers: c (m x n) = a (m x k) * B,
+/// with B already packed by kernels::PackPanelsF32. It runs the same
+/// kernel, row split and nn.gemm.* counters as MatMul, so it is bitwise
+/// equal to MatMul; frozen inference weights are packed once for it.
+void MatMulPacked(const float* a, int m, int k, const float* packed_b, int n,
+                  float* c);
 
 // Shape manipulation.
 

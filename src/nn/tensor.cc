@@ -131,11 +131,6 @@ bool Tensor::requires_grad() const {
   return impl_->requires_grad;
 }
 
-void Tensor::set_requires_grad(bool requires_grad) {
-  ADAMEL_CHECK(defined());
-  impl_->requires_grad = requires_grad;
-}
-
 Tensor Tensor::Detach() const {
   ADAMEL_CHECK(defined());
   auto impl = NewImpl(impl_->rows, impl_->cols, /*requires_grad=*/false);

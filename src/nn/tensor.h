@@ -100,7 +100,6 @@ class Tensor {
   float GradAt(int row, int col) const;
 
   bool requires_grad() const;
-  void set_requires_grad(bool requires_grad);
 
   /// Returns a copy of the values detached from the autograd graph.
   Tensor Detach() const;

@@ -1,16 +1,23 @@
 // Tests for src/core: feature extraction (Eq. 2-3), the AdaMEL model
-// (Eq. 4-7), and the trainer variants (Algorithms 1-3).
+// (Eq. 4-7), the graph-free inference forward, and the trainer variants
+// (Algorithms 1-3).
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "core/features.h"
+#include "core/inference.h"
 #include "core/model.h"
 #include "core/trainer.h"
 #include "datagen/music_world.h"
 #include "eval/metrics.h"
+#include "nn/debug_checks.h"
+#include "nn/kernels/kernels.h"
 #include "nn/ops.h"
 
 namespace adamel::core {
@@ -271,6 +278,32 @@ TEST(AdamelTrainerTest, HistoryHasOneEntryPerEpoch) {
   EXPECT_LT(history.back().base_loss, history.front().base_loss);
 }
 
+TEST(AdamelTrainerTest, SkipsOptimizerStepOnNonFiniteGradientNorm) {
+  // A huge learning rate drives the weights until the forward overflows and
+  // the gradient norm turns inf/NaN. Those steps must be skipped (and
+  // counted): stepping would write NaN into every weight.
+  const data::PairDataset train = ToyDataset(60, 28);
+  AdamelConfig config;
+  config.epochs = 3;
+  config.learning_rate = 1e30f;
+  const AdamelTrainer trainer(config);
+  MelInputs inputs;
+  inputs.source_train = &train;
+  std::vector<EpochStats> history;
+  const TrainedAdamel trained =
+      trainer.Fit(AdamelVariant::kBase, inputs, &history);
+  int skipped = 0;
+  for (const EpochStats& stats : history) {
+    skipped += stats.skipped_steps;
+  }
+  EXPECT_GT(skipped, 0) << "the setup no longer produces a non-finite norm";
+  for (const nn::NamedTensor& param : trained.model().NamedParameters()) {
+    for (const float v : param.second.data()) {
+      ASSERT_FALSE(std::isnan(v)) << param.first;
+    }
+  }
+}
+
 TEST(AdamelTrainerTest, ZeroVariantUsesTargetLoss) {
   const data::PairDataset train = ToyDataset(60, 15);
   const data::PairDataset target = ToyDataset(60, 16).WithoutLabels();
@@ -394,6 +427,135 @@ TEST(AdamelTrainerTest, LearnsToAttendToInformativeAttribute) {
   const auto importance = model.MeanAttention(train);
   EXPECT_NE(importance[0].first.find("key"), std::string::npos)
       << "top feature was " << importance[0].first;
+}
+
+// ------------------------------------------------- graph-free inference
+
+// Bitwise equality (EXPECT_EQ on floats would equate -0 and +0).
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+data::PairDataset FirstPairs(const data::PairDataset& dataset, int n) {
+  data::PairDataset out(dataset.schema());
+  for (int i = 0; i < n; ++i) {
+    out.Add(dataset.pairs()[i]);
+  }
+  return out;
+}
+
+TrainedAdamel TrainInferenceModel() {
+  const data::PairDataset train = ToyDataset(120, 29);
+  AdamelConfig config;
+  config.epochs = 2;
+  config.seed = 5;
+  MelInputs inputs;
+  inputs.source_train = &train;
+  TrainedAdamel trained = AdamelTrainer(config).Fit(AdamelVariant::kBase,
+                                                    inputs);
+  EXPECT_TRUE(trained.EnableQuantizedScoring(data::PairSpan(train)).ok());
+  return trained;
+}
+
+TEST(InferenceForwardTest, MatchesAutogradForwardBitwise) {
+  const TrainedAdamel trained = TrainInferenceModel();
+  // 513 crosses the 512-pair prediction chunk.
+  const data::PairDataset pool = ToyDataset(513, 30);
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const nn::kernels::Isa isa : nn::kernels::AvailableIsas()) {
+      nn::kernels::SetBackendForTesting(isa);
+      for (const int batch : {1, 16, 64, 513}) {
+        SCOPED_TRACE(std::string(nn::kernels::IsaName(isa)) + " threads=" +
+                     std::to_string(threads) +
+                     " batch=" + std::to_string(batch));
+        const data::PairDataset pairs = FirstPairs(pool, batch);
+        const nn::Tensor h = trained.extractor().Featurize(pairs).matrix;
+        const std::vector<float> autograd_scores =
+            nn::Sigmoid(trained.model().Forward(h).logits).ToVector();
+        const std::vector<float> autograd_attention =
+            trained.model().ForwardAttention(h).ToVector();
+        EXPECT_TRUE(SameBits(trained.ScorePairs(pairs), autograd_scores));
+        std::vector<float> attention;
+        for (const std::vector<float>& row : trained.AttentionVectors(pairs)) {
+          attention.insert(attention.end(), row.begin(), row.end());
+        }
+        EXPECT_TRUE(SameBits(attention, autograd_attention));
+      }
+    }
+  }
+  nn::kernels::ResetBackendForTesting();
+  SetNumThreads(0);
+}
+
+TEST(InferenceForwardTest, QuantizedScoresAreBackendPoolAndBatchInvariant) {
+  const TrainedAdamel trained = TrainInferenceModel();
+  const data::PairDataset pool = ToyDataset(513, 31);
+  nn::kernels::SetBackendForTesting(nn::kernels::Isa::kScalar);
+  SetNumThreads(1);
+  const std::vector<float> reference =
+      trained.ScorePairsQuantized(pool).value();
+  std::vector<float> one_by_one;
+  for (int i = 0; i < 20; ++i) {
+    const std::vector<float> single =
+        trained.ScorePairsQuantized(data::PairSpan(pool).Subspan(i, 1))
+            .value();
+    one_by_one.push_back(single[0]);
+  }
+  EXPECT_TRUE(SameBits(one_by_one, std::vector<float>(reference.begin(),
+                                                     reference.begin() + 20)));
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const nn::kernels::Isa isa : nn::kernels::AvailableIsas()) {
+      nn::kernels::SetBackendForTesting(isa);
+      EXPECT_TRUE(SameBits(trained.ScorePairsQuantized(pool).value(),
+                           reference))
+          << nn::kernels::IsaName(isa) << " threads=" << threads;
+    }
+  }
+  nn::kernels::ResetBackendForTesting();
+  SetNumThreads(0);
+}
+
+// Forwards to another ForwardGemms, recording the highest live autograd
+// node count seen at any GEMM of the forward.
+class NodeCountingGemms final : public ForwardGemms {
+ public:
+  explicit NodeCountingGemms(const ForwardGemms& inner) : inner_(inner) {}
+  void Gemm(GemmFamily family, int feature, const float* a, int m,
+            float* c) const override {
+    max_live_ = std::max(max_live_, nn::debug::LiveNodeCount());
+    inner_.Gemm(family, feature, a, m, c);
+  }
+  int64_t max_live() const { return max_live_; }
+
+ private:
+  const ForwardGemms& inner_;
+  mutable int64_t max_live_ = 0;
+};
+
+TEST(InferenceForwardTest, ServingBuildsNoAutogradNodes) {
+  if (!nn::debug::kDebugChecksEnabled) {
+    GTEST_SKIP() << "node accounting needs ADAMEL_DEBUG_CHECKS";
+  }
+  const TrainedAdamel trained = TrainInferenceModel();
+  const data::PairDataset pairs = ToyDataset(40, 32);
+  const int64_t before = nn::debug::LiveNodeCount();
+  EXPECT_EQ(trained.ScorePairs(pairs).size(), 40u);
+  EXPECT_EQ(trained.ScorePairsQuantized(pairs).value().size(), 40u);
+  EXPECT_EQ(nn::debug::LiveNodeCount(), before);
+
+  // Stronger than before/after: no node is alive mid-forward beyond the
+  // featurized input itself.
+  const FeaturizedPairs features = trained.extractor().Featurize(pairs);
+  const PackedAdamel packed(trained.model());
+  const NodeCountingGemms counting(packed);
+  const int64_t baseline = nn::debug::LiveNodeCount();
+  std::vector<float> scores(40);
+  RunForward(packed.params(), counting, features.matrix.data().data(), 40,
+             scores.data(), /*attention=*/nullptr);
+  EXPECT_EQ(counting.max_live(), baseline);
 }
 
 TEST(AdamelLinkageTest, ImplementsInterfaceEndToEnd) {

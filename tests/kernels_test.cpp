@@ -231,88 +231,6 @@ TEST(ElementwiseTest, ScaleAndRowMaxMatchScalarBitwise) {
   }
 }
 
-// -- polynomial transcendentals ----------------------------------------------
-
-TEST(PolyTranscendentalTest, BackendsAgreeBitwise) {
-  // Includes the clamp region boundaries and values around 0.
-  std::vector<float> x = RandomVector(2048, 10.0f, 12);
-  x.insert(x.end(), {-100.0f, -87.0f, -0.5f, -0.0f, 0.0f, 0.5f, 87.0f, 100.0f});
-  std::vector<float> exp_ref(x.size()), tanh_ref(x.size()), sig_ref(x.size());
-  Scalar().exp_f32(x.data(), exp_ref.data(), x.size());
-  Scalar().tanh_f32(x.data(), tanh_ref.data(), x.size());
-  Scalar().sigmoid_f32(x.data(), sig_ref.data(), x.size());
-  for (const kernels::KernelBackend* backend : SimdBackends()) {
-    std::vector<float> y(x.size());
-    backend->exp_f32(x.data(), y.data(), x.size());
-    EXPECT_EQ(
-        std::memcmp(y.data(), exp_ref.data(), y.size() * sizeof(float)), 0)
-        << backend->name << " exp";
-    backend->tanh_f32(x.data(), y.data(), x.size());
-    EXPECT_EQ(
-        std::memcmp(y.data(), tanh_ref.data(), y.size() * sizeof(float)), 0)
-        << backend->name << " tanh";
-    backend->sigmoid_f32(x.data(), y.data(), x.size());
-    EXPECT_EQ(
-        std::memcmp(y.data(), sig_ref.data(), y.size() * sizeof(float)), 0)
-        << backend->name << " sigmoid";
-  }
-}
-
-TEST(PolyTranscendentalTest, TracksLibmWithinDocumentedTolerance) {
-  // The documented accuracy contract from kernels.h: |rel err| < 3e-6 for
-  // exp over [-87, 88], |abs err| < 4e-6 for tanh and sigmoid.
-  std::vector<float> x;
-  for (double v = -87.0; v <= 88.0; v += 0.0625) {
-    x.push_back(static_cast<float>(v));
-  }
-  std::vector<float> y(x.size());
-  Scalar().exp_f32(x.data(), y.data(), x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double exact = std::exp(static_cast<double>(x[i]));
-    EXPECT_LT(std::abs(y[i] - exact) / exact, 3e-6) << "exp(" << x[i] << ")";
-  }
-  Scalar().tanh_f32(x.data(), y.data(), x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_LT(std::abs(y[i] - std::tanh(static_cast<double>(x[i]))), 4e-6)
-        << "tanh(" << x[i] << ")";
-  }
-  Scalar().sigmoid_f32(x.data(), y.data(), x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double exact = 1.0 / (1.0 + std::exp(-static_cast<double>(x[i])));
-    EXPECT_LT(std::abs(y[i] - exact), 4e-6) << "sigmoid(" << x[i] << ")";
-  }
-}
-
-TEST(PolyTranscendentalTest, SaturatesFiniteAtExtremeInputs) {
-  // exp's 2^n exponent trick must not overflow to inf inside the clamp
-  // (a past bug made tanh(|v| > 44) return inf/inf = NaN).
-  const float x[] = {-1000.0f, -100.0f, -44.5f, 44.5f, 100.0f, 1000.0f};
-  float y[6];
-  for (const kernels::Isa isa : kernels::AvailableIsas()) {
-    const kernels::KernelBackend& backend = *kernels::BackendFor(isa);
-    backend.exp_f32(x, y, 6);
-    EXPECT_EQ(y[0], 0.0f) << kernels::IsaName(isa);
-    EXPECT_TRUE(std::isfinite(y[5])) << kernels::IsaName(isa);
-    backend.tanh_f32(x, y, 6);
-    for (int i = 0; i < 6; ++i) {
-      EXPECT_EQ(y[i], x[i] < 0 ? -1.0f : 1.0f)
-          << kernels::IsaName(isa) << " tanh(" << x[i] << ")";
-    }
-    backend.sigmoid_f32(x, y, 6);
-    for (int i = 0; i < 6; ++i) {
-      // Negative tail decays toward 1/(1 + exp_clamp) ~ 6e-39; at the
-      // mildest input here (-44.5) it is e^{-44.5} ~ 4.7e-20.
-      if (x[i] < 0) {
-        EXPECT_LT(y[i], 1e-19f)
-            << kernels::IsaName(isa) << " sigmoid(" << x[i] << ")";
-      } else {
-        EXPECT_EQ(y[i], 1.0f)
-            << kernels::IsaName(isa) << " sigmoid(" << x[i] << ")";
-      }
-    }
-  }
-}
-
 // -- int8 quantization -------------------------------------------------------
 
 TEST(QuantizeTest, RoundsToNearestEvenAndSaturates) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -266,6 +267,11 @@ struct GradCase {
   const char* name;
   std::function<Tensor(const Tensor&)> loss;
 };
+
+// Without this, gtest prints a GradCase as its raw bytes, which hold
+// pointers: the test names that ctest discovers would then change with
+// every build (ASLR) and could not be tracked across builds.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 class OpsGradientSweep : public ::testing::TestWithParam<GradCase> {};
 
