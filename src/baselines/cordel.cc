@@ -9,7 +9,7 @@
 
 namespace adamel::baselines {
 
-struct CorDelModel::Network {
+struct CorDelModel::Network : nn::Module {
   Network(int embed_dim, int attributes, Rng* rng)
       : shared_query(nn::Tensor::XavierUniform(embed_dim, 1, rng)),
         unique_query(nn::Tensor::XavierUniform(embed_dim, 1, rng)),
@@ -21,7 +21,7 @@ struct CorDelModel::Network {
   nn::Tensor unique_query;
   nn::Mlp classifier;
 
-  std::vector<nn::Tensor> Parameters() const {
+  std::vector<nn::Tensor> Parameters() const override {
     std::vector<nn::Tensor> params = {shared_query, unique_query};
     for (const nn::Tensor& p : classifier.Parameters()) {
       params.push_back(p);
@@ -81,25 +81,19 @@ Status CorDelModel::Fit(const core::MelInputs& inputs) {
 
   std::vector<int> order(pairs.size());
   std::iota(order.begin(), order.end(), 0);
+  const auto batch_loss = [&](int, const std::vector<int>& rows) {
+    std::vector<nn::Tensor> logits;
+    std::vector<float> labels;
+    for (int i : rows) {
+      logits.push_back(PairLogit(pairs[i]));
+      labels.push_back(pairs[i].label);
+    }
+    return nn::BceWithLogits(nn::ConcatRows(logits), labels);
+  };
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(order);
-    for (size_t start = 0; start < order.size();
-         start += config_.batch_size) {
-      const size_t end = std::min(order.size(), start + config_.batch_size);
-      std::vector<nn::Tensor> logits;
-      std::vector<float> labels;
-      for (size_t i = start; i < end; ++i) {
-        logits.push_back(PairLogit(pairs[order[i]]));
-        labels.push_back(pairs[order[i]].label);
-      }
-      nn::Tensor loss = nn::BceWithLogits(nn::ConcatRows(logits), labels);
-      optimizer.ZeroGrad();
-      loss.Backward();
-      if (nn::ClipGradNorm(optimizer.parameters(), config_.grad_clip)
-              .finite) {
-        optimizer.Step();
-      }
-    }
+    nn::TrainEpoch(&optimizer, order, config_.batch_size, config_.grad_clip,
+                   batch_loss);
   }
   return OkStatus();
 }
@@ -122,11 +116,7 @@ StatusOr<std::vector<float>> CorDelModel::ScorePairs(
 
 int64_t CorDelModel::ParameterCount() const {
   ADAMEL_CHECK(network_ != nullptr);
-  int64_t count = 0;
-  for (const nn::Tensor& p : network_->Parameters()) {
-    count += p.size();
-  }
-  return count;
+  return network_->ParameterCount();
 }
 
 }  // namespace adamel::baselines

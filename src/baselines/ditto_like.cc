@@ -14,13 +14,15 @@ constexpr int kSummaryTokens = 40;
 
 }  // namespace
 
-struct DittoLikeModel::Network {
+struct DittoLikeModel::Network : nn::Module {
   Network(int embed_dim, Rng* rng)
       : head({4 * embed_dim, 256, 64, 1}, nn::Activation::kRelu, rng) {}
 
   nn::Mlp head;
 
-  std::vector<nn::Tensor> Parameters() const { return head.Parameters(); }
+  std::vector<nn::Tensor> Parameters() const override {
+    return head.Parameters();
+  }
 };
 
 DittoLikeModel::DittoLikeModel(BaselineConfig config) : config_(config) {}
@@ -110,36 +112,30 @@ Status DittoLikeModel::Fit(const core::MelInputs& inputs) {
   network_ = std::make_unique<Network>(config_.embed_dim, &rng);
   nn::Adam optimizer(network_->Parameters(), config_.learning_rate);
 
-  const int n = static_cast<int>(labels.size());
-  std::vector<int> order(n);
+  std::vector<int> order(labels.size());
   std::iota(order.begin(), order.end(), 0);
-  // The pooled representation is recomputed per epoch because augmentation
+  // The pooled representation is recomputed per batch because augmentation
   // re-samples spans (token embeddings themselves are cached).
+  const auto batch_loss = [&](int, const std::vector<int>& rows) {
+    std::vector<float> batch_values;
+    std::vector<float> batch_labels;
+    for (int i : rows) {
+      const std::vector<float> vec =
+          PairVector(left_serialized[i], right_serialized[i],
+                     /*augment=*/true, &rng);
+      batch_values.insert(batch_values.end(), vec.begin(), vec.end());
+      batch_labels.push_back(labels[i]);
+    }
+    const nn::Tensor batch =
+        nn::Tensor::FromVector(static_cast<int>(rows.size()),
+                               4 * config_.embed_dim, std::move(batch_values));
+    return nn::BceWithLogits(network_->head.Forward(batch), batch_labels);
+  };
   const int epochs = config_.epochs * 2;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     rng.Shuffle(order);
-    for (int start = 0; start < n; start += config_.batch_size) {
-      const int end = std::min(n, start + config_.batch_size);
-      std::vector<float> batch_values;
-      std::vector<float> batch_labels;
-      for (int i = start; i < end; ++i) {
-        const std::vector<float> vec =
-            PairVector(left_serialized[order[i]],
-                       right_serialized[order[i]], /*augment=*/true, &rng);
-        batch_values.insert(batch_values.end(), vec.begin(), vec.end());
-        batch_labels.push_back(labels[order[i]]);
-      }
-      const nn::Tensor batch = nn::Tensor::FromVector(
-          end - start, 4 * config_.embed_dim, std::move(batch_values));
-      nn::Tensor loss = nn::BceWithLogits(
-          network_->head.Forward(batch), batch_labels);
-      optimizer.ZeroGrad();
-      loss.Backward();
-      if (nn::ClipGradNorm(optimizer.parameters(), config_.grad_clip)
-              .finite) {
-        optimizer.Step();
-      }
-    }
+    nn::TrainEpoch(&optimizer, order, config_.batch_size, config_.grad_clip,
+                   batch_loss);
   }
   return OkStatus();
 }
@@ -169,11 +165,7 @@ StatusOr<std::vector<float>> DittoLikeModel::ScorePairs(
 
 int64_t DittoLikeModel::ParameterCount() const {
   ADAMEL_CHECK(network_ != nullptr);
-  int64_t count = 0;
-  for (const nn::Tensor& p : network_->Parameters()) {
-    count += p.size();
-  }
-  return count;
+  return network_->ParameterCount();
 }
 
 }  // namespace adamel::baselines

@@ -25,7 +25,7 @@ float BestCosine(const std::vector<float>& token_vec,
 
 }  // namespace
 
-struct EntityMatcherModel::Network {
+struct EntityMatcherModel::Network : nn::Module {
   Network(int attributes, Rng* rng)
       : entity_mlp({attributes * kAttributeHidden, kEntityHidden, 256, 1},
                    nn::Activation::kRelu, rng) {
@@ -54,7 +54,7 @@ struct EntityMatcherModel::Network {
     return entity_mlp.Forward(nn::ConcatCols(per_attribute));
   }
 
-  std::vector<nn::Tensor> Parameters() const {
+  std::vector<nn::Tensor> Parameters() const override {
     std::vector<nn::Tensor> params;
     for (const nn::Linear& layer : attribute_layers) {
       for (const nn::Tensor& p : layer.Parameters()) {
@@ -175,26 +175,18 @@ Status EntityMatcherModel::Fit(const core::MelInputs& inputs) {
   nn::Adam optimizer(network_->Parameters(), config_.learning_rate);
   std::vector<int> order(pairs.size());
   std::iota(order.begin(), order.end(), 0);
-  const int epochs = config_.epochs;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    rng.Shuffle(order);
-    for (size_t start = 0; start < order.size();
-         start += config_.batch_size) {
-      const size_t end = std::min(order.size(), start + config_.batch_size);
-      std::vector<int> batch(order.begin() + start, order.begin() + end);
-      std::vector<float> batch_labels;
-      for (int i : batch) {
-        batch_labels.push_back(labels[i]);
-      }
-      nn::Tensor loss = nn::BceWithLogits(
-          network_->Forward(nn::SelectRows(features, batch)), batch_labels);
-      optimizer.ZeroGrad();
-      loss.Backward();
-      if (nn::ClipGradNorm(optimizer.parameters(), config_.grad_clip)
-              .finite) {
-        optimizer.Step();
-      }
+  const auto batch_loss = [&](int, const std::vector<int>& rows) {
+    std::vector<float> batch_labels;
+    for (int i : rows) {
+      batch_labels.push_back(labels[i]);
     }
+    return nn::BceWithLogits(
+        network_->Forward(nn::SelectRows(features, rows)), batch_labels);
+  };
+  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    rng.Shuffle(order);
+    nn::TrainEpoch(&optimizer, order, config_.batch_size, config_.grad_clip,
+                   batch_loss);
   }
   return OkStatus();
 }
@@ -218,11 +210,7 @@ StatusOr<std::vector<float>> EntityMatcherModel::ScorePairs(
 
 int64_t EntityMatcherModel::ParameterCount() const {
   ADAMEL_CHECK(network_ != nullptr);
-  int64_t count = 0;
-  for (const nn::Tensor& p : network_->Parameters()) {
-    count += p.size();
-  }
-  return count;
+  return network_->ParameterCount();
 }
 
 }  // namespace adamel::baselines

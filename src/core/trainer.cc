@@ -732,138 +732,96 @@ StatusOr<std::shared_ptr<TrainedAdamel>> AdamelTrainer::FitImpl(
       centroids = ComputeCentroids(*model, source, &rng);
     }
     EpochStats stats;
-    int batches = 0;
     int support_steps = 0;
 #if ADAMEL_TELEMETRY_ENABLED
-    // Read-only telemetry accumulators; they never feed back into training.
-    double grad_norm_sum = 0.0;
+    // Read-only telemetry accumulator; it never feeds back into training.
     double alpha_entropy_sum = 0.0;
 #endif
-    for (int start = 0; start < n; start += config_.batch_size) {
-      const int count = std::min(config_.batch_size, n - start);
-      nn::Tensor base_loss;
-      nn::Tensor loss;
-      {
-        ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kForward);
-        ADAMEL_TRACE_SCOPE("train.forward");
-        std::vector<int> batch(permutation.begin() + start,
-                               permutation.begin() + start + count);
-        const nn::Tensor h = nn::SelectRows(source.matrix, batch);
-        const AdamelModel::Output out = model->Forward(h);
-        ADAMEL_DCHECK_EQ(out.logits.rows(), count);
-        std::vector<float> targets(count);
-        for (int i = 0; i < count; ++i) {
-          targets[i] = source.labels[batch[i]];
-        }
-        // Eq. (8).
-        base_loss = nn::BceWithLogits(out.logits, targets);
-        loss = nn::MulScalar(base_loss, base_weight);
-
-        if (use_target) {
-          // Eq. (10): KL between each source pair's attention and the mean
-          // attention over a batch of unlabeled target pairs. Gradients flow
-          // through both sides, jointly updating W and a for the two domains.
-          const int t_count =
-              std::min(config_.target_batch, target.pair_count);
-          std::vector<int> t_batch =
-              rng.SampleWithoutReplacement(target.pair_count, t_count);
-          const nn::Tensor h_t = nn::SelectRows(target.matrix, t_batch);
-          const nn::Tensor target_attention = model->ForwardAttention(h_t);
-          const nn::Tensor mean_target =
-              nn::AddScalar(nn::MeanCols(target_attention), kProbEps);
-          const nn::Tensor source_attention =
-              nn::AddScalar(out.attention, kProbEps);
-          const nn::Tensor kl = nn::Sum(nn::Mul(
-              mean_target,
-              nn::Log(nn::Div(mean_target, source_attention))));
-          const nn::Tensor target_loss =
-              nn::MulScalar(kl, 1.0f / static_cast<float>(count));
-          loss = nn::Add(loss, nn::MulScalar(target_loss, target_weight));
-          stats.target_loss += target_loss.At(0, 0);
-        }
-
-        const bool support_step =
-            use_support &&
-            (batches % std::max(1, config_.support_every)) == 0;
-        if (support_step) {
-          // Eq. (12)-(13): weighted BCE over a support mini-batch, weights
-          // from the distance of each support attention vector to the
-          // matching source centroid. Subsampling the support set per step
-          // keeps the number of gradient updates per support pair comparable
-          // to the source pairs (the full set every step would overfit S_U).
-          const int s_count =
-              std::min(config_.batch_size, support.pair_count);
-          std::vector<int> s_batch =
-              rng.SampleWithoutReplacement(support.pair_count, s_count);
-          const nn::Tensor h_s = nn::SelectRows(support.matrix, s_batch);
-          std::vector<float> s_labels(s_count);
-          for (int i = 0; i < s_count; ++i) {
-            s_labels[i] = support.labels[s_batch[i]];
-          }
-          const AdamelModel::Output support_out = model->Forward(h_s);
-          std::vector<float> weights(s_count, 1.0f);
-          if (config_.support_deviation_weights) {
-            weights = SupportWeights(support_out.attention.Detach(),
-                                     s_labels, centroids);
-          }
-          nn::Tensor support_loss =
-              nn::BceWithLogits(support_out.logits, s_labels, weights);
-          // Mixing rule: kFew uses Eq. (13), L_base + phi * L_support. For
-          // kHyb, Eq. (14) as printed would keep L_support at full strength
-          // when lambda -> 1, but the paper's own Figure 8 discussion states
-          // that at lambda = 1 "the only term in the loss function is the
-          // regularization" for AdaMEL-hyb as well — so the supervised pair
-          // (L_base + phi * L_support) must jointly carry the (1 - lambda)
-          // factor. We follow that reading:
-          //   L_hyb = (1-lambda) * (L_base + phi * L_support)
-          //           + lambda * L_target.
-          const float support_weight = config_.phi * base_weight;
-          loss = nn::Add(loss, nn::MulScalar(support_loss, support_weight));
-          stats.support_loss += support_loss.At(0, 0);
-          ++support_steps;
-          ADAMEL_COUNTER_ADD("train.support_steps", 1);
-#if ADAMEL_TELEMETRY_ENABLED
-          alpha_entropy_sum += AttentionEntropy(support_out.attention);
-#endif
-        }
+    auto batch_loss = [&](int batch_index, const std::vector<int>& batch) {
+      const int count = static_cast<int>(batch.size());
+      const nn::Tensor h = nn::SelectRows(source.matrix, batch);
+      const AdamelModel::Output out = model->Forward(h);
+      ADAMEL_DCHECK_EQ(out.logits.rows(), count);
+      std::vector<float> targets(count);
+      for (int i = 0; i < count; ++i) {
+        targets[i] = source.labels[batch[i]];
       }
-
-      // The loss must be a defined scalar before reverse mode runs; a shaped
-      // loss here means an op above dropped a reduction.
-      ADAMEL_DCHECK_EQ(loss.size(), 1);
-      nn::GradClipResult clip{};
-      {
-        // ZeroGrad is charged to the backward phase: it prepares the
-        // gradient buffers the reverse sweep accumulates into.
-        ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kBackward);
-        ADAMEL_TRACE_SCOPE("train.backward");
-        optimizer.ZeroGrad();
-        loss.Backward();
-      }
-      {
-        ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kOptimizer);
-        ADAMEL_TRACE_SCOPE("train.optimizer");
-        clip = nn::ClipGradNorm(optimizer.parameters(), config_.grad_clip);
-        if (clip.finite) {
-          optimizer.Step();
-        } else {
-          // A non-finite gradient norm means at least one gradient
-          // overflowed; stepping would write NaN into every weight. Skip
-          // this update and surface the skip in the epoch stats.
-          ++stats.skipped_steps;
-          ADAMEL_COUNTER_ADD("train.skipped_steps", 1);
-        }
-      }
-      ADAMEL_COUNTER_ADD("train.steps", 1);
-      if (clip.finite) {
-        ADAMEL_GAUGE_SET("train.grad_norm", clip.norm);
-#if ADAMEL_TELEMETRY_ENABLED
-        grad_norm_sum += clip.norm;
-#endif
-      }
+      // Eq. (8).
+      const nn::Tensor base_loss = nn::BceWithLogits(out.logits, targets);
+      nn::Tensor loss = nn::MulScalar(base_loss, base_weight);
       stats.base_loss += base_loss.At(0, 0);
-      ++batches;
-    }
+
+      if (use_target) {
+        // Eq. (10): KL between each source pair's attention and the mean
+        // attention over a batch of unlabeled target pairs. Gradients flow
+        // through both sides, jointly updating W and a for the two domains.
+        const int t_count = std::min(config_.target_batch, target.pair_count);
+        std::vector<int> t_batch =
+            rng.SampleWithoutReplacement(target.pair_count, t_count);
+        const nn::Tensor h_t = nn::SelectRows(target.matrix, t_batch);
+        const nn::Tensor target_attention = model->ForwardAttention(h_t);
+        const nn::Tensor mean_target =
+            nn::AddScalar(nn::MeanCols(target_attention), kProbEps);
+        const nn::Tensor source_attention =
+            nn::AddScalar(out.attention, kProbEps);
+        const nn::Tensor kl = nn::Sum(nn::Mul(
+            mean_target, nn::Log(nn::Div(mean_target, source_attention))));
+        const nn::Tensor target_loss =
+            nn::MulScalar(kl, 1.0f / static_cast<float>(count));
+        loss = nn::Add(loss, nn::MulScalar(target_loss, target_weight));
+        stats.target_loss += target_loss.At(0, 0);
+      }
+
+      const bool support_step =
+          use_support &&
+          (batch_index % std::max(1, config_.support_every)) == 0;
+      if (support_step) {
+        // Eq. (12)-(13): weighted BCE over a support mini-batch, weights
+        // from the distance of each support attention vector to the
+        // matching source centroid. Subsampling the support set per step
+        // keeps the number of gradient updates per support pair comparable
+        // to the source pairs (the full set every step would overfit S_U).
+        const int s_count = std::min(config_.batch_size, support.pair_count);
+        std::vector<int> s_batch =
+            rng.SampleWithoutReplacement(support.pair_count, s_count);
+        const nn::Tensor h_s = nn::SelectRows(support.matrix, s_batch);
+        std::vector<float> s_labels(s_count);
+        for (int i = 0; i < s_count; ++i) {
+          s_labels[i] = support.labels[s_batch[i]];
+        }
+        const AdamelModel::Output support_out = model->Forward(h_s);
+        std::vector<float> weights(s_count, 1.0f);
+        if (config_.support_deviation_weights) {
+          weights = SupportWeights(support_out.attention.Detach(), s_labels,
+                                   centroids);
+        }
+        nn::Tensor support_loss =
+            nn::BceWithLogits(support_out.logits, s_labels, weights);
+        // Mixing rule: kFew uses Eq. (13), L_base + phi * L_support. For
+        // kHyb, Eq. (14) as printed would keep L_support at full strength
+        // when lambda -> 1, but the paper's own Figure 8 discussion states
+        // that at lambda = 1 "the only term in the loss function is the
+        // regularization" for AdaMEL-hyb as well — so the supervised pair
+        // (L_base + phi * L_support) must jointly carry the (1 - lambda)
+        // factor. We follow that reading:
+        //   L_hyb = (1-lambda) * (L_base + phi * L_support)
+        //           + lambda * L_target.
+        const float support_weight = config_.phi * base_weight;
+        loss = nn::Add(loss, nn::MulScalar(support_loss, support_weight));
+        stats.support_loss += support_loss.At(0, 0);
+        ++support_steps;
+        ADAMEL_COUNTER_ADD("train.support_steps", 1);
+#if ADAMEL_TELEMETRY_ENABLED
+        alpha_entropy_sum += AttentionEntropy(support_out.attention);
+#endif
+      }
+      return loss;
+    };
+    const nn::EpochSteps steps =
+        nn::TrainEpoch(&optimizer, permutation, config_.batch_size,
+                       config_.grad_clip, batch_loss);
+    stats.skipped_steps = steps.skipped_steps;
+    const int batches = steps.steps;
     if (batches > 0) {
       stats.base_loss /= batches;
       stats.target_loss /= batches;
@@ -880,8 +838,9 @@ StatusOr<std::shared_ptr<TrainedAdamel>> AdamelTrainer::FitImpl(
       ADAMEL_SERIES_APPEND("train.epoch.base_loss", stats.base_loss);
       ADAMEL_SERIES_APPEND("train.epoch.target_loss", stats.target_loss);
       ADAMEL_SERIES_APPEND("train.epoch.support_loss", stats.support_loss);
+      ADAMEL_SERIES_APPEND("train.epoch.grad_norm",
+                           steps.grad_norm_sum / batches);
 #if ADAMEL_TELEMETRY_ENABLED
-      ADAMEL_SERIES_APPEND("train.epoch.grad_norm", grad_norm_sum / batches);
       if (support_steps > 0) {
         const double alpha_entropy = alpha_entropy_sum / support_steps;
         ADAMEL_GAUGE_SET("train.alpha_entropy", alpha_entropy);

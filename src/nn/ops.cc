@@ -839,35 +839,6 @@ Tensor Softmax(const Tensor& a) {
   return FinishOp("Softmax", std::move(out), {a_impl.get()});
 }
 
-Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training) {
-  ADAMEL_CHECK(a.defined());
-  ADAMEL_CHECK_GE(p, 0.0f);
-  ADAMEL_CHECK_LT(p, 1.0f);
-  if (!training || p == 0.0f) {
-    // Identity pass-through that still participates in the graph.
-    return MulScalar(a, 1.0f);
-  }
-  ADAMEL_CHECK(rng != nullptr);
-  const auto& ai = *a.impl();
-  auto mask = std::make_shared<std::vector<float>>(ai.data.size());
-  const float scale = 1.0f / (1.0f - p);
-  for (auto& m : *mask) {
-    m = rng->Bernoulli(p) ? 0.0f : scale;
-  }
-  auto out = NewResult(ai.rows, ai.cols);
-  for (size_t i = 0; i < ai.data.size(); ++i) {
-    out->data[i] = ai.data[i] * (*mask)[i];
-  }
-  auto a_impl = a.impl();
-  AttachBackward(out, {a_impl}, [a_impl, mask](TensorImpl& self) {
-    a_impl->EnsureGrad();
-    for (size_t i = 0; i < self.data.size(); ++i) {
-      a_impl->grad[i] += self.grad[i] * (*mask)[i];
-    }
-  });
-  return FinishOp("Dropout", std::move(out), {a_impl.get()});
-}
-
 Tensor BceWithLogits(const Tensor& logits, const std::vector<float>& targets,
                      const std::vector<float>& weights) {
   ADAMEL_CHECK(logits.defined());

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "nn/tensor.h"
 
 namespace adamel::nn {
@@ -93,10 +92,6 @@ Tensor MeanCols(const Tensor& a);
 
 /// Row-wise softmax (numerically stabilized by row-max subtraction).
 Tensor Softmax(const Tensor& a);
-
-/// Inverted dropout: during training, zeroes each element with probability
-/// `p` and scales survivors by 1/(1-p); identity when `training` is false.
-Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training);
 
 /// Numerically stable binary cross-entropy on logits.
 ///

@@ -1,9 +1,11 @@
 #include "nn/optim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
 #include "common/check.h"
+#include "obs/telemetry.h"
 
 namespace adamel::nn {
 namespace {
@@ -183,6 +185,56 @@ GradClipResult ClipGradNorm(const std::vector<Tensor>& parameters,
     }
   }
   return {norm, /*finite=*/true};
+}
+
+EpochSteps TrainEpoch(Optimizer* optimizer, const std::vector<int>& order,
+                      int batch_size, float grad_clip,
+                      const BatchLossFn& batch_loss) {
+  ADAMEL_CHECK_GT(batch_size, 0);
+  EpochSteps result;
+  const size_t n = order.size();
+  for (size_t start = 0; start < n; start += batch_size) {
+    const size_t end = std::min(n, start + static_cast<size_t>(batch_size));
+    Tensor loss;
+    {
+      ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kForward);
+      ADAMEL_TRACE_SCOPE("train.forward");
+      const std::vector<int> rows(order.begin() + start, order.begin() + end);
+      loss = batch_loss(result.steps, rows);
+    }
+    // The loss must be a defined scalar before reverse mode runs; a shaped
+    // loss here means an op in the callback dropped a reduction.
+    ADAMEL_DCHECK_EQ(loss.size(), 1);
+    {
+      // ZeroGrad is charged to the backward phase: it prepares the
+      // gradient buffers the reverse sweep accumulates into.
+      ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kBackward);
+      ADAMEL_TRACE_SCOPE("train.backward");
+      optimizer->ZeroGrad();
+      loss.Backward();
+    }
+    GradClipResult clip;
+    {
+      ADAMEL_PHASE_SCOPE(::adamel::obs::Phase::kOptimizer);
+      ADAMEL_TRACE_SCOPE("train.optimizer");
+      clip = ClipGradNorm(optimizer->parameters(), grad_clip);
+      if (clip.finite) {
+        optimizer->Step();
+      } else {
+        // A non-finite norm means at least one gradient overflowed;
+        // stepping would write NaN into every weight.
+        ++result.skipped_steps;
+        ADAMEL_COUNTER_ADD("train.skipped_steps", 1);
+      }
+    }
+    ADAMEL_COUNTER_ADD("train.steps", 1);
+    if (clip.finite) {
+      ADAMEL_GAUGE_SET("train.grad_norm", clip.norm);
+      result.grad_norm_sum += clip.norm;
+    }
+    ++result.steps;
+  }
+  return result;
 }
 
 }  // namespace adamel::nn

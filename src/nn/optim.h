@@ -1,6 +1,7 @@
 #ifndef ADAMEL_NN_OPTIM_H_
 #define ADAMEL_NN_OPTIM_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -96,6 +97,34 @@ struct GradClipResult {
 /// skip the update instead of poisoning the weights.
 GradClipResult ClipGradNorm(const std::vector<Tensor>& parameters,
                             float max_norm);
+
+/// Outcome of one `TrainEpoch` call.
+struct EpochSteps {
+  /// Batches run, stepped or skipped.
+  int steps = 0;
+  /// Batches whose gradient norm was NaN/Inf, so the update was skipped.
+  int skipped_steps = 0;
+  /// Sum of the finite pre-clip gradient norms.
+  double grad_norm_sum = 0.0;
+};
+
+/// Builds one mini-batch's scalar loss. `batch_index` counts batches from 0
+/// within the epoch; `rows` is the batch's contiguous slice of `order`.
+using BatchLossFn =
+    std::function<Tensor(int batch_index, const std::vector<int>& rows)>;
+
+/// The mini-batch step loop every gradient trainer shares. Cuts `order`
+/// (already shuffled by the caller) into contiguous batches of
+/// `batch_size`, the last one possibly partial, and for each batch runs
+/// `batch_loss` → `ZeroGrad` → `Backward` → `ClipGradNorm(grad_clip)` →
+/// `Step`. A batch whose gradient norm is non-finite is not stepped, so it
+/// leaves every parameter unchanged. Charges the three stages to the
+/// forward / backward / optimizer phases and the `train.forward`,
+/// `train.backward` and `train.optimizer` timers, and counts `train.steps`
+/// and `train.skipped_steps`.
+EpochSteps TrainEpoch(Optimizer* optimizer, const std::vector<int>& order,
+                      int batch_size, float grad_clip,
+                      const BatchLossFn& batch_loss);
 
 }  // namespace adamel::nn
 

@@ -218,6 +218,25 @@ TEST(GalleryTest, OverflowedBucketsStopMatching) {
   EXPECT_EQ(gallery->SearchExhaustive(records[0], 5).value().size(), 5u);
 }
 
+TEST(GalleryTest, BucketAtExactlyTheCapIsStillProbed) {
+  // The stop-word cap is inclusive: a token with exactly
+  // max_bucket_postings postings still matches, and one more posting
+  // overflows it.
+  GalleryOptions options = SmallOptions();
+  options.num_shards = 1;
+  options.max_bucket_postings = 4;
+  auto gallery = Gallery::Create(TwoAttrSchema(), options).value();
+  std::vector<data::Record> records;
+  for (int i = 0; i < 4; ++i) {
+    records.push_back(MakeRecord("r" + std::to_string(i), "stopword"));
+  }
+  ASSERT_TRUE(gallery->Enroll(records).ok());
+  EXPECT_EQ(gallery->Search(records[0], 10).value().size(), 4u);
+  const std::vector<data::Record> fifth = {MakeRecord("r4", "stopword")};
+  ASSERT_TRUE(gallery->Enroll(fifth).ok());
+  EXPECT_TRUE(gallery->Search(records[0], 10).value().empty());
+}
+
 TEST(GalleryTest, GetRecordRoundTripsAndRejectsUnknownIndices) {
   auto gallery = Gallery::Create(TwoAttrSchema(), SmallOptions()).value();
   const std::vector<data::Record> records = RandomRecords(20, 17);

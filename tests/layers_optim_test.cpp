@@ -1,9 +1,13 @@
-// Tests for nn layers (Linear/Mlp/Highway/GRU) and optimizers (Sgd/Adam):
-// shape contracts, gradient checks through composite modules, and
-// convergence on small learnable problems.
+// Tests for nn layers (Linear/Mlp/Highway/GRU), optimizers (Sgd/Adam) and
+// the shared mini-batch step loop (TrainEpoch): shape contracts, gradient
+// checks through composite modules, convergence on small learnable
+// problems, and the batching and non-finite-step contract every trainer
+// relies on.
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -263,6 +267,69 @@ TEST(ClipGradNormTest, ReportsNonFiniteGradientsWithoutScaling) {
   // The healthy parameter's gradient must not have been scaled by NaN.
   EXPECT_FLOAT_EQ(y.grad()[0], 1.0f);
   EXPECT_FLOAT_EQ(y.grad()[1], 1.0f);
+}
+
+TEST(TrainEpochTest, BatchesAreContiguousSlicesOfOrder) {
+  Tensor w = Tensor::Full(1, 1, 1.0f, true);
+  Sgd sgd({w}, 0.1f);
+  const std::vector<int> order = {4, 1, 3, 0, 2, 6, 5};
+  std::vector<int> indices;
+  std::vector<std::vector<int>> batches;
+  const EpochSteps steps = TrainEpoch(
+      &sgd, order, /*batch_size=*/3, /*grad_clip=*/10.0f,
+      [&](int batch_index, const std::vector<int>& rows) {
+        indices.push_back(batch_index);
+        batches.push_back(rows);
+        return Sum(w);
+      });
+  EXPECT_EQ(indices, (std::vector<int>{0, 1, 2}));
+  ASSERT_EQ(batches.size(), 3u);
+  EXPECT_EQ(batches[0], (std::vector<int>{4, 1, 3}));
+  EXPECT_EQ(batches[1], (std::vector<int>{0, 2, 6}));
+  EXPECT_EQ(batches[2], (std::vector<int>{5}));  // the partial tail
+  EXPECT_EQ(steps.steps, 3);
+  EXPECT_EQ(steps.skipped_steps, 0);
+  EXPECT_DOUBLE_EQ(steps.grad_norm_sum, 3.0);
+  EXPECT_FLOAT_EQ(w.At(0, 0), 1.0f - 3 * 0.1f);
+}
+
+TEST(TrainEpochTest, NonFiniteGradientNormSkipsOnlyThatStep) {
+  // Batch 0 overflows x's gradient; stepping on it would write NaN into
+  // every weight (Adam's moments are shared across the update). The
+  // driver must skip it, leaving every parameter bitwise unchanged, and
+  // still step batch 1.
+  Tensor x = Tensor::FromVector(1, 1, {1.0f}, true);
+  Tensor y = Tensor::FromVector(1, 2, {1.0f, -2.0f}, true);
+  Adam adam({x, y}, 0.1f);
+  const std::vector<float> x0 = x.ToVector();
+  const std::vector<float> y0 = y.ToVector();
+  auto bitwise_equal = [](const std::vector<float>& a,
+                          const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+  bool unchanged_after_skip = false;
+  const EpochSteps steps = TrainEpoch(
+      &adam, /*order=*/{0, 1}, /*batch_size=*/1, /*grad_clip=*/10.0f,
+      [&](int batch_index, const std::vector<int>&) {
+        if (batch_index == 0) {
+          // d/dx (1e30*x)^2 = 2e60*x overflows float.
+          return Add(Sum(Square(MulScalar(x, 1e30f))), Sum(y));
+        }
+        unchanged_after_skip =
+            bitwise_equal(x.ToVector(), x0) && bitwise_equal(y.ToVector(), y0);
+        return Add(Sum(x), Sum(y));
+      });
+  EXPECT_TRUE(unchanged_after_skip);
+  EXPECT_EQ(steps.steps, 2);
+  EXPECT_EQ(steps.skipped_steps, 1);
+  EXPECT_EQ(adam.step_count(), 1);
+  // Only batch 1's norm (three unit gradients) is summed.
+  EXPECT_NEAR(steps.grad_norm_sum, std::sqrt(3.0), 1e-6);
+  EXPECT_NE(x.At(0, 0), x0[0]);
+  for (float v : y.ToVector()) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST(ModuleTest, ZeroGradClearsAllParameters) {

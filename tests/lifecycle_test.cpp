@@ -6,6 +6,7 @@
 // worker threads and are exercised under TSan in CI.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -375,6 +376,55 @@ TEST(LifecycleTest, AutoRollbackOnGoldenBandViolation) {
   EXPECT_EQ(resolved.value().version, 1);
   for (std::future<ScoreResponse>& response : responses) {
     EXPECT_EQ(response.get().scores, offline);
+  }
+}
+
+// The band itself is the rollback threshold: a candidate whose mean
+// |score delta| is twice `max_mean_abs_delta` (inside any looser multiple
+// of the band) is rolled back, never promoted.
+TEST(LifecycleTest, RollsBackAtTwiceTheGoldenBand) {
+  obs::ScopedFakeClock clock;
+  std::shared_ptr<const core::AdamelLinkage> incumbent = TrainToyLinkage(52);
+  std::shared_ptr<const core::AdamelLinkage> candidate = TrainToyLinkage(53);
+  const data::PairDataset test = ToyDataset(10, 54);
+  const std::vector<float> before = incumbent->ScorePairs(test).value();
+  const std::vector<float> after = candidate->ScorePairs(test).value();
+  double sum = 0.0;
+  for (size_t i = 0; i < before.size(); ++i) {
+    sum += std::abs(static_cast<double>(after[i]) -
+                    static_cast<double>(before[i]));
+  }
+  const double mean = sum / static_cast<double>(before.size());
+  ASSERT_GT(mean, 0.0) << "the two seeds trained identical models";
+
+  LinkageService service(PumpServiceOptions());
+  ASSERT_TRUE(service.registry().Register("adamel", 1, incumbent).ok());
+
+  LifecycleOptions lopts;
+  lopts.model_name = "adamel";
+  lopts.shadow_fraction = 1.0;
+  lopts.min_shadow_requests = 2;
+  lopts.max_mean_abs_delta = mean / 2.0;
+  LifecycleManager lifecycle(&service, lopts);
+  ASSERT_TRUE(lifecycle.StageCandidate(candidate).ok());
+  std::vector<std::future<ScoreResponse>> responses;
+  for (int i = 0; i < 3; ++i) {
+    responses.push_back(lifecycle.SubmitShadowed(MakeScoreRequest(test)));
+    while (service.queued_pairs() > 0) {
+      service.PumpOnce();
+    }
+    lifecycle.Tick();
+  }
+  PumpUntilQuiet(&service, &lifecycle);
+
+  const LifecycleStats stats = lifecycle.stats();
+  EXPECT_EQ(stats.state, LifecycleState::kRolledBack);
+  EXPECT_EQ(stats.rollbacks, 1);
+  EXPECT_EQ(stats.promotions, 0);
+  EXPECT_GT(stats.mean_abs_delta, lopts.max_mean_abs_delta);
+  EXPECT_LT(stats.mean_abs_delta, 5.0 * lopts.max_mean_abs_delta);
+  for (std::future<ScoreResponse>& response : responses) {
+    EXPECT_EQ(response.get().scores, before);
   }
 }
 

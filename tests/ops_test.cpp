@@ -195,31 +195,6 @@ TEST(OpsForward, SoftmaxInvariantToShift) {
   }
 }
 
-TEST(OpsForward, DropoutIdentityInEval) {
-  Rng rng(4);
-  const Tensor x = Tensor::Full(2, 4, 3.0f);
-  const Tensor y = Dropout(x, 0.5f, &rng, /*training=*/false);
-  EXPECT_EQ(y.ToVector(), x.ToVector());
-}
-
-TEST(OpsForward, DropoutZeroesAndRescales) {
-  Rng rng(4);
-  const Tensor x = Tensor::Full(1, 1000, 1.0f);
-  const Tensor y = Dropout(x, 0.5f, &rng, /*training=*/true);
-  int zeros = 0;
-  double sum = 0.0;
-  for (float v : y.data()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(v, 2.0f);  // inverted-dropout scale 1/(1-p)
-    }
-    sum += v;
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.5, 0.05);
-  EXPECT_NEAR(sum / 1000.0, 1.0, 0.1);
-}
-
 TEST(OpsForward, BceWithLogitsMatchesClosedForm) {
   const Tensor logits = Tensor::FromVector(2, 1, {0.0f, 2.0f});
   const Tensor loss = BceWithLogits(logits, {1.0f, 0.0f});
