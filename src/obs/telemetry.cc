@@ -124,52 +124,6 @@ const std::vector<double>& ScoreDeltaBounds() {
   return bounds;
 }
 
-HistogramSnapshot SnapshotHistogram(std::string_view name,
-                                    const Histogram& histogram) {
-  HistogramSnapshot snapshot;
-  snapshot.name = std::string(name);
-  snapshot.upper_bounds = histogram.upper_bounds();
-  snapshot.bucket_counts.resize(snapshot.upper_bounds.size() + 1);
-  for (size_t i = 0; i < snapshot.bucket_counts.size(); ++i) {
-    snapshot.bucket_counts[i] = histogram.bucket_count(i);
-  }
-  snapshot.count = histogram.total_count();
-  snapshot.sum = histogram.sum();
-  return snapshot;
-}
-
-double HistogramPercentile(const HistogramSnapshot& snapshot, double q) {
-  ADAMEL_CHECK(q >= 0.0 && q <= 100.0) << "percentile out of range: " << q;
-  if (snapshot.count <= 0) {
-    return 0.0;
-  }
-  // Rank of the target observation (1-based, nearest-rank with
-  // interpolation inside the containing bucket).
-  const double rank = q / 100.0 * static_cast<double>(snapshot.count);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < snapshot.bucket_counts.size(); ++i) {
-    const double in_bucket = static_cast<double>(snapshot.bucket_counts[i]);
-    if (in_bucket <= 0.0) {
-      continue;
-    }
-    if (cumulative + in_bucket >= rank) {
-      if (i >= snapshot.upper_bounds.size()) {
-        // +inf bucket: no finite upper edge to interpolate toward.
-        return snapshot.upper_bounds.empty() ? 0.0
-                                             : snapshot.upper_bounds.back();
-      }
-      const double lower = i == 0 ? 0.0 : snapshot.upper_bounds[i - 1];
-      const double upper = snapshot.upper_bounds[i];
-      const double fraction =
-          std::max(0.0, std::min(1.0, (rank - cumulative) / in_bucket));
-      return lower + fraction * (upper - lower);
-    }
-    cumulative += in_bucket;
-  }
-  // q == 100 with rounding: the largest observed bucket's upper edge.
-  return snapshot.upper_bounds.empty() ? 0.0 : snapshot.upper_bounds.back();
-}
-
 // -- TimerStat --------------------------------------------------------------
 
 void TimerStat::Record(int64_t duration_ns) {

@@ -124,9 +124,9 @@ const std::vector<double>& DefaultCountBoundsPow2();
 /// Fine-grained duration bounds for percentile estimation: a geometric grid
 /// from 1us to 10s with ~12 buckets per decade (ratio 2^(1/4) ≈ 1.19), so a
 /// percentile read from bucket edges is within ~19% of the true value. Use
-/// these for histograms that feed `HistogramPercentile` (end-to-end serving
-/// latency); the coarse decade grid of `DefaultLatencyBoundsNs` is for
-/// order-of-magnitude telemetry only.
+/// these for histograms whose percentiles are read back (the lifecycle's
+/// shadow-scoring latencies); the coarse decade grid of
+/// `DefaultLatencyBoundsNs` is for order-of-magnitude telemetry only.
 const std::vector<double>& FineLatencyBoundsNs();
 
 /// Bounds for absolute score deltas (candidate vs incumbent probabilities in
@@ -314,20 +314,6 @@ class Registry {
 
 /// Convenience: Registry::Global().Snapshot().
 TelemetrySnapshot CaptureSnapshot();
-
-/// Plain-value snapshot of one standalone (non-registry) histogram, e.g. a
-/// load generator's per-run latency histogram.
-HistogramSnapshot SnapshotHistogram(std::string_view name,
-                                    const Histogram& histogram);
-
-/// Estimates the `q`-th percentile (q in [0, 100]) from a histogram
-/// snapshot: finds the bucket containing the target rank and interpolates
-/// linearly between its bounds. Values in the +inf bucket are reported as
-/// the largest finite bound (the grid should be chosen so this bucket stays
-/// empty). Returns 0 for an empty histogram. Deterministic: the same bucket
-/// counts always yield the same estimate, so percentiles computed from a
-/// seeded deterministic run replay bitwise.
-double HistogramPercentile(const HistogramSnapshot& snapshot, double q);
 
 }  // namespace adamel::obs
 

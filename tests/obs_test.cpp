@@ -163,54 +163,6 @@ TEST(ObsMetrics, FineLatencyBoundsAreAscendingGeometric) {
   }
 }
 
-TEST(ObsMetrics, HistogramPercentileInterpolatesWithinBucket) {
-  obs::Histogram histogram({10.0, 20.0, 40.0});
-  histogram.Record(5.0);     // bucket 0: [0, 10)
-  histogram.Record(15.0);    // bucket 1: [10, 20)
-  histogram.Record(15.0);    // bucket 1
-  histogram.Record(100.0);   // +inf bucket
-  const obs::HistogramSnapshot snapshot =
-      obs::SnapshotHistogram("h", histogram);
-  EXPECT_EQ(snapshot.count, 4);
-  // rank 2 of 4 lands halfway through bucket [10, 20).
-  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(snapshot, 50.0), 15.0);
-  // rank 1 is the full first bucket: its upper edge.
-  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(snapshot, 25.0), 10.0);
-  // q=0 degenerates to the lower edge of the first occupied bucket.
-  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(snapshot, 0.0), 0.0);
-  // The +inf bucket has no finite edge to interpolate toward; report the
-  // largest finite bound rather than inventing a value.
-  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(snapshot, 100.0), 40.0);
-}
-
-TEST(ObsMetrics, HistogramPercentileHandlesEmptyAndSkipsEmptyBuckets) {
-  obs::Histogram histogram({10.0, 20.0, 40.0});
-  EXPECT_DOUBLE_EQ(
-      obs::HistogramPercentile(obs::SnapshotHistogram("h", histogram), 99.0),
-      0.0);
-  histogram.Record(30.0);  // only bucket [20, 40) is occupied
-  const obs::HistogramSnapshot snapshot =
-      obs::SnapshotHistogram("h", histogram);
-  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(snapshot, 50.0), 30.0);
-  EXPECT_DOUBLE_EQ(obs::HistogramPercentile(snapshot, 99.0), 39.8);
-}
-
-TEST(ObsMetrics, FineBoundsPercentileIsWithinGridError) {
-  // The fine grid promises ~19% worst-case edge error; a burst of equal
-  // 5 ms observations must read back within one bucket of the truth.
-  obs::Histogram histogram(obs::FineLatencyBoundsNs());
-  for (int i = 0; i < 10; ++i) {
-    histogram.Record(5e6);
-  }
-  const obs::HistogramSnapshot snapshot =
-      obs::SnapshotHistogram("h", histogram);
-  for (const double q : {50.0, 95.0, 99.0}) {
-    const double estimate = obs::HistogramPercentile(snapshot, q);
-    EXPECT_GT(estimate, 5e6 / 1.2) << "q" << q;
-    EXPECT_LT(estimate, 5e6 * 1.2) << "q" << q;
-  }
-}
-
 TEST(ObsMetrics, TimerStatAggregatesAcrossRecords) {
   obs::TimerStat stat;
   stat.Record(100);

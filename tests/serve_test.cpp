@@ -462,6 +462,47 @@ TEST(MicroBatcherTest, TightDeadlineJoinerClosesBatchWindow) {
   EXPECT_EQ(batcher.stats().timed_out, 0);
 }
 
+// The adaptive window scales with queue depth: a lone 1-pair request
+// (fill 1/256) gets min_batch_delay_ns + fill * (max - min), ~0.3 ms of a
+// 50 ms maximum, so it executes once ~1 ms passes. The fixed window holds
+// it for the full 50 ms.
+TEST(MicroBatcherTest, AdaptiveWindowClosesEarlyOnShallowQueue) {
+  std::shared_ptr<const core::EntityLinkageModel> model = TrainToyLinkage(36);
+  const data::PairDataset test = ToyDataset(1, 37);
+  for (const bool adaptive : {true, false}) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
+    obs::ScopedFakeClock clock;  // outlives the batcher and its worker
+    BatcherOptions options;
+    options.worker_threads = 1;
+    options.max_batch_delay_ns = 50'000'000;
+    options.adaptive = adaptive;
+    MicroBatcher batcher(options);
+
+    BatchWorkItem lone;
+    lone.model = model;
+    lone.pairs = test;  // no deadline
+    std::future<ScoreResponse> future = batcher.Submit(std::move(lone));
+    // The window is sized when the worker pulls the head, so wait for that
+    // before moving fake time.
+    for (int i = 0; i < 5000 && batcher.inflight_pairs() < 1; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(batcher.inflight_pairs(), 1);
+
+    clock.Advance(1'000'000);
+    if (!adaptive) {
+      EXPECT_EQ(future.wait_for(std::chrono::milliseconds(100)),
+                std::future_status::timeout);
+      clock.Advance(options.max_batch_delay_ns);
+    }
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    const ScoreResponse response = future.get();
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.batch_pairs, 1);
+  }
+}
+
 // Scores every pair 0.5 after blocking until Release(); lets a test hold a
 // collected batch in the executing state.
 class BlockingModel : public core::EntityLinkageModel {
